@@ -2,10 +2,11 @@
 
 Subcommands wire lattice files, generator literals, cutoffs, and action
 files into the library's construction and verification machinery.  Exit
-codes: 0 success / all checks pass, 1 malformed input, 2 saturation
-non-convergence, 3 verification failure.  Reports are deterministic for a
-fixed seed; VOAFORMS_THREADS caps the worker count used for degreewise
-work (the merged output does not depend on it).
+codes: 0 success / all checks pass, 1 malformed input or a usage error,
+2 saturation non-convergence (any subcommand; the per-pass growth trace
+goes to stderr), 3 verification failure.  Reports are deterministic for a
+fixed seed.  VOAFORMS_THREADS is validated (a positive integer) but
+selects nothing: all work runs on one thread.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
+from contextlib import contextmanager
 
 from voaforms import forms as fm
 from voaforms.dihedral import dihedral_2a_report
@@ -51,29 +51,43 @@ def _thread_cap() -> int:
     return n
 
 
-def map_degrees(fn, degrees):
-    """Apply fn over degrees, possibly in parallel, merged in sorted order.
+@contextmanager
+def _input_errors(what: str):
+    """Report a missing or malformed field of ``what`` as an InputError."""
+    try:
+        yield
+    except fm.SaturationError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"{what}: {e}")
 
-    Work items are independent pure computations, so the output is
-    identical to the sequential run for any thread count.
-    """
-    degrees = sorted(degrees)
-    workers = min(_thread_cap(), max(len(degrees), 1))
-    if workers == 1:
-        return {d: fn(d) for d in degrees}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, degrees))
-    return dict(zip(degrees, results))
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise InputError(f"{what}: file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"{what}: cannot read {path}: {e}")
 
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{what}: file not found: {path}")
+        data = json.loads(_read_text(path, what))
     except json.JSONDecodeError as e:
         raise InputError(f"{what}: invalid JSON in {path}: {e}")
+    if not isinstance(data, dict):
+        raise InputError(f"{what}: {path} does not hold a JSON object")
+    return data
+
+
+def _load_form(path: str, iter_bound: int):
+    """The manifest at path and the (host, form) regenerated from it."""
+    manifest = _load_json(path, "manifest")
+    with _input_errors("manifest"):
+        V, J = fm.form_from_manifest(manifest, iter_bound=iter_bound)
+    return manifest, V, J
 
 
 def _load_lattice(path: str) -> EvenLattice:
@@ -82,21 +96,20 @@ def _load_lattice(path: str) -> EvenLattice:
         raise InputError("lattice: missing field 'gram'")
     try:
         lat = EvenLattice(data["gram"])
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise InputError(f"lattice: {e}")
-    if "rank" in data and int(data["rank"]) != lat.rank:
+    rank = data.get("rank", lat.rank)
+    if type(rank) is not int:
+        raise InputError("lattice: field 'rank' is not an integer")
+    if rank != lat.rank:
         raise InputError("lattice: field 'rank' disagrees with 'gram'")
     return lat
 
 
 def _load_generators(path: str, V: TruncatedVOA) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise InputError(f"generators: file not found: {path}")
     gens = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(
+            _read_text(path, "generators").split("\n"), 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -149,13 +162,6 @@ def cmd_build(args) -> int:
                              iter_bound=args.iter_bound)
     except NotHomogeneousError as e:
         raise InputError(f"generators: {e}")
-    except fm.SaturationError as e:
-        sys.stderr.write(f"saturation did not converge: {e}\n")
-        sys.stderr.write("growth trace (per pass, per degree denominator "
-                         "lcm):\n")
-        for i, p in enumerate(e.trace, 1):
-            sys.stderr.write(f"  pass {i}: {p}\n")
-        return EXIT_NO_CONVERGENCE
     manifest = fm.build_manifest(J)
     manifest["seed"] = args.seed
     _emit(manifest, args.format, args.output, _render_manifest_text)
@@ -184,22 +190,19 @@ def _render_manifest_text(m: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _suite_manifest_consistency(V, J, manifest):
-    cert = fm.check_lattice_integral(J)
+    want = fm.check_lattice_integral(J).to_json()["degrees"]
     recorded = manifest.get("degrees", {})
     for d in range(V.cutoff + 1):
-        info = cert.degrees.get(d)
+        info = want.get(str(d))
         rec = recorded.get(str(d))
         if (info is None) != (rec is None):
             return False, f"degree {d}: presence mismatch"
         if info is None:
             continue
-        gram = [[format_rational(x) for x in row] for row in info["gram"]]
-        if rec["basis_rank"] != info["rank"]:
-            return False, f"degree {d}: rank mismatch"
-        if rec["gram"] != gram:
-            return False, f"degree {d}: gram mismatch"
-        if rec["li"] != info["li"]:
-            return False, f"degree {d}: li flag mismatch"
+        for key, what in (("basis_rank", "rank"), ("gram", "gram"),
+                          ("li", "li flag")):
+            if rec[key] != info[key]:
+                return False, f"degree {d}: {what} mismatch"
     return True, None
 
 
@@ -320,19 +323,10 @@ VERIFY_SUITES = [
 
 def cmd_verify(args) -> int:
     if args.suite == "dihedral2a":
-        report = dihedral_2a_report()
-        report["seed"] = args.seed
-        _emit(report, args.format, args.output, _render_dihedral_text)
-        return EXIT_OK
+        return cmd_dihedral2a(args)
     if not args.manifest:
         raise InputError("manifest: required unless --suite dihedral2a")
-    manifest = _load_json(args.manifest, "manifest")
-    try:
-        V, J = fm.form_from_manifest(manifest, iter_bound=args.iter_bound)
-    except (KeyError, ValueError) as e:
-        raise InputError(f"manifest: {e}")
-    except fm.SaturationError:
-        return EXIT_NO_CONVERGENCE
+    manifest, V, J = _load_form(args.manifest, args.iter_bound)
     results = []
     all_ok = True
     for name, suite in VERIFY_SUITES:
@@ -366,18 +360,14 @@ def _render_verify_text(p: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_rescale(args) -> int:
-    manifest = _load_json(args.manifest, "manifest")
-    try:
-        V, J = fm.form_from_manifest(manifest, iter_bound=args.iter_bound)
-    except fm.SaturationError:
-        return EXIT_NO_CONVERGENCE
+    _, V, J = _load_form(args.manifest, args.iter_bound)
     t = args.gen_degree
     if t is None:
         t = J.gen_degree if J.gen_degree is not None else 1
     try:
         m1, m2, Jm = fm.rescale_to_integral(J, t, iter_bound=args.iter_bound)
     except fm.SaturationError:
-        return EXIT_NO_CONVERGENCE
+        raise  # reported by main
     except fm.FormError as e:
         sys.stderr.write(f"rescale failed: {e}\n")
         return EXIT_VERIFY_FAIL
@@ -401,24 +391,18 @@ def _render_rescale_text(p: dict) -> str:
 
 
 def cmd_dual(args) -> int:
-    manifest = _load_json(args.manifest, "manifest")
-    try:
-        V, J = fm.form_from_manifest(manifest, iter_bound=args.iter_bound)
-    except fm.SaturationError:
-        return EXIT_NO_CONVERGENCE
+    _thread_cap()  # validated, though every subcommand runs on one thread
+    _, V, J = _load_form(args.manifest, args.iter_bound)
     duals = fm.dual_form(J)
-
-    def describe(d):
-        lat = duals.lattice(d)
-        return {"rank": lat.rank, "denominator": lat.den,
-                "span_relative": d in duals.low_rank_degrees}
-
-    table = map_degrees(describe, duals.degrees())
+    table = {str(d): {"rank": duals.lattice(d).rank,
+                      "denominator": duals.lattice(d).den,
+                      "span_relative": d in duals.low_rank_degrees}
+             for d in duals.degrees()}
     stability = {}
     for n in range(1, args.stability_order + 1):
         stability[str(n)] = fm.dual_stability_check(J, n)
     payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
-               "degrees": {str(d): v for d, v in table.items()},
+               "degrees": table,
                "stability": stability,
                "passed": all(stability.values())}
     _emit(payload, args.format, args.output, _render_dual_text)
@@ -457,11 +441,7 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
 
 
 def cmd_tel(args) -> int:
-    manifest = _load_json(args.manifest, "manifest")
-    try:
-        V, J = fm.form_from_manifest(manifest, iter_bound=args.iter_bound)
-    except fm.SaturationError:
-        return EXIT_NO_CONVERGENCE
+    _, V, J = _load_form(args.manifest, args.iter_bound)
     auts = _load_automorphisms(args.action, V)
     r = len(auts)
     for a in auts:
@@ -495,17 +475,14 @@ def _render_tel_text(p: dict) -> str:
 
 
 def cmd_nli_transfer(args) -> int:
-    man_a = _load_json(args.manifest, "manifest")
+    man_a, V, J = _load_form(args.manifest, args.iter_bound)
     man_b = _load_json(args.other, "other")
-    if man_a["lattice"] != man_b["lattice"] or \
-            man_a["cutoff"] != man_b["cutoff"]:
-        raise InputError("other: host lattice or cutoff differs")
-    try:
-        V, J = fm.form_from_manifest(man_a, iter_bound=args.iter_bound)
+    with _input_errors("other"):
+        if man_a["lattice"] != man_b["lattice"] or \
+                man_a["cutoff"] != man_b["cutoff"]:
+            raise InputError("other: host lattice or cutoff differs")
         gens_b = [V.parse_element(s) for s in man_b["generators"]]
         K = fm.generate_form(V, gens_b, iter_bound=args.iter_bound)
-    except fm.SaturationError:
-        return EXIT_NO_CONVERGENCE
     try:
         mjk, mkj, per = fm.mutual_scale_report(J, K)
     except fm.RankMismatchError as e:
@@ -571,11 +548,18 @@ def _add_common(p):
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--iter-bound", type=int, default=50)
-    p.add_argument("--truncate", choices=("error", "drop"), default="error")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (malformed input), not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="voaforms",
         description="exact truncated lattice VOAs and their integral forms")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -633,6 +617,13 @@ def main(argv=None) -> int:
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
+    except fm.SaturationError as e:
+        sys.stderr.write(f"saturation did not converge: {e}\n")
+        sys.stderr.write("growth trace (per pass, per degree denominator "
+                         "lcm):\n")
+        for i, p in enumerate(e.trace, 1):
+            sys.stderr.write(f"  pass {i}: {p}\n")
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -177,21 +177,6 @@ class QMatrix:
                     inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
         return QMatrix.from_rows(inv) if n else QMatrix(0, 0, [])
 
-    def rank(self) -> int:
-        a = self.row_list()
-        r = 0
-        for col in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            for i in range(r + 1, self.rows):
-                if a[i][col]:
-                    f = a[i][col] / a[r][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            r += 1
-        return r
-
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
                 "entries": [format_rational(e) for e in self.entries]}

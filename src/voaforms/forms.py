@@ -33,10 +33,13 @@ from voaforms.exact import (
 )
 from voaforms.latgroup import (
     Character,
+    GroupClosureError,
     SignedAction,
     apply_matrix,
-    close_matrix_group,
-    image_lattice,
+    common_eigenlattice,
+    eigenlattice,
+    invariant_intersection,
+    tel_exponent_check,
 )
 from voaforms.voa import (
     GradedVector,
@@ -91,6 +94,7 @@ class TruncatedForm:
         self.gen_degree = gen_degree
         self.saturation_trace = saturation_trace or []
         self._gram_cache = {}
+        self._dual_cache = None
 
     def lattice(self, degree: int) -> ZLattice:
         lat = self.lattices.get(degree)
@@ -288,8 +292,8 @@ def minimal_integral_scale(J: TruncatedForm) -> int:
     """Least m > 0 with m*J lattice-integral below the cutoff.
 
     Scaling a set by m scales Gram entries by m^2, so this is the least m
-    with m^2 * entry integral for every stored Gram entry; m never exceeds
-    the lcm of the entry denominators.
+    with m^2 * entry integral for every stored Gram entry, that is the
+    least m whose square the lcm of the entry denominators divides.
     """
     den = 1
     for d in range(J.host.cutoff + 1):
@@ -298,24 +302,18 @@ def minimal_integral_scale(J: TruncatedForm) -> int:
         for row in form_gram(J, d):
             for val in row:
                 den = lcm(den, val.denominator)
-    for m in range(1, den + 1):
-        mm = m * m
-        ok = True
-        for d in range(J.host.cutoff + 1):
-            if J.rank(d) == 0:
-                continue
-            for row in form_gram(J, d):
-                for val in row:
-                    if (mm * val).denominator != 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return m
-    raise ConclusionError("no scale up to the denominator lcm worked")
+    # the least m with den | m^2 takes each prime of den to half its
+    # exponent, rounded up
+    m = 1
+    p = 2
+    while p * p <= den:
+        e = 0
+        while den % p == 0:
+            den //= p
+            e += 1
+        m *= p ** ((e + 1) // 2)
+        p += 1
+    return m * den
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +340,10 @@ def dual_form(J: TruncatedForm) -> DualFamily:
     Distinct degrees pair to zero, so the degreewise restriction is the
     whole story.  For degrees where J has lower rank than the graded piece,
     the dual is taken inside the rational span of J's piece and the degree
-    is flagged.
+    is flagged.  The family is cached on J.
     """
+    if J._dual_cache is not None:
+        return J._dual_cache
     V = J.host
     duals = {}
     low = []
@@ -357,7 +357,8 @@ def dual_form(J: TruncatedForm) -> DualFamily:
         except DegenerateFormError:
             raise DegenerateFormError(
                 f"invariant form degenerate on the degree-{d} piece")
-    return DualFamily(duals, tuple(low))
+    J._dual_cache = DualFamily(duals, tuple(low))
+    return J._dual_cache
 
 
 def dual_stability_check(J: TruncatedForm, n: int,
@@ -755,36 +756,10 @@ def fixed_subform(J: TruncatedForm,
             raise PreconditionError(
                 "an automorphism does not map the form into itself; "
                 "intersect over the group first")
-    V = J.host
-    lats = {}
-    for d in J.degrees():
-        L = J.lattice(d)
-        h = [list(r) for r in L.rows]
-        if not h:
-            continue
-        n = V.dim(d)
-        blocks = []
-        for a in auts:
-            mat = a.matrix(d)
-            block = []
-            for row in h:
-                img = apply_matrix(mat, row)
-                block.append([img[c] - row[c] for c in range(n)])
-            blocks.append(block)
-        if not blocks:
-            lats[d] = L
-            continue
-        stacked = [sum((blocks[b][i] for b in range(len(blocks))), [])
-                   for i in range(len(h))]
-        ker = kernel_int(stacked, len(stacked[0]) if stacked else 0)
-        rows = []
-        for y in ker:
-            rows.append([Fraction(sum(y[i] * h[i][c] for i in range(len(h))),
-                                  L.den) for c in range(n)])
-        lat = ZLattice.from_rows(n, rows)
-        if lat.rank:
-            lats[d] = lat
-    return TruncatedForm(V, lats)
+    return TruncatedForm(J.host, {
+        d: common_eigenlattice(J.lattice(d), [a.matrix(d) for a in auts],
+                               [1] * len(auts))
+        for d in J.degrees()})
 
 
 def graded_sign_action(V: TruncatedVOA, auts: Sequence[VOAAutomorphism],
@@ -796,7 +771,6 @@ def graded_sign_action(V: TruncatedVOA, auts: Sequence[VOAAutomorphism],
 def character_eigenform(J: TruncatedForm, auts: Sequence[VOAAutomorphism],
                         char: Character) -> dict:
     """Degreewise eigenlattices of the form under commuting involutions."""
-    from voaforms.latgroup import eigenlattice
     for a in auts:
         if not a.preserves_form(J):
             raise PreconditionError(
@@ -815,19 +789,9 @@ def tel_exponents(J: TruncatedForm,
 
     Every value must divide 2^r for r listed involutions; violations raise.
     """
-    from voaforms.latgroup import total_eigenlattice
-    V = J.host
-    r = len(auts)
-    out = {}
-    for d in J.degrees():
-        act = graded_sign_action(V, auts, d)
-        tel = total_eigenlattice(J.lattice(d), act)
-        e = quotient_exponent(J.lattice(d), tel)
-        if (1 << r) % e:
-            raise ConclusionError(
-                f"degree {d}: exponent {e} does not divide 2^{r}")
-        out[d] = e
-    return out
+    return {d: tel_exponent_check(J.lattice(d),
+                                  graded_sign_action(J.host, auts, d))[1]
+            for d in J.degrees()}
 
 
 def invariant_form_intersect(J: TruncatedForm,
@@ -835,42 +799,18 @@ def invariant_form_intersect(J: TruncatedForm,
                              bound: int = 1024):
     """Intersection of g.J over the generated finite group, with exponents.
 
-    Returns (form, {degree: exponent of J over the intersection}).
+    Returns (form, {degree: exponent of J over the intersection}).  The
+    group is closed degree by degree on the induced matrices.
     """
-    # close the group abstractly on (isometry, basis signs)
-    group = {a.key(): a for a in auts}
-    ident = VOAAutomorphism(J.host,
-                            [[int(i == j) for j in range(J.host.lattice.rank)]
-                             for i in range(J.host.lattice.rank)])
-    group[ident.key()] = ident
-    frontier = list(group.values())
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for a in auts:
-                h = g.compose(a)
-                if h.key() not in group:
-                    group[h.key()] = h
-                    nxt.append(h)
-                    if len(group) > bound:
-                        raise FormError(
-                            f"automorphism group exceeds {bound} elements")
-        frontier = nxt
     lats = {}
     exps = {}
     for d in J.degrees():
-        L = J.lattice(d)
-        inter = L
-        for g in group.values():
-            inter = lattice_intersect(inter, image_lattice(g.matrix(d), L))
-        if inter.rank:
-            lats[d] = inter
-        exps[d] = quotient_exponent(L, inter)
-    out = TruncatedForm(J.host, lats)
-    for a in auts:
-        if not a.preserves_form(out):  # pragma: no cover - structural
-            raise ConclusionError("intersection is not invariant")
-    return out, exps
+        try:
+            lats[d], exps[d] = invariant_intersection(
+                J.lattice(d), [a.matrix(d) for a in auts], bound)
+        except GroupClosureError as e:
+            raise FormError(str(e)) from e
+    return TruncatedForm(J.host, lats), exps
 
 
 # ---------------------------------------------------------------------------
@@ -934,11 +874,7 @@ def degree_mode_matrices(J: TruncatedForm, degree: int) -> list:
                 cols.append([Fraction(0)] * dim)
                 continue
             _, coords = V.coords(prod)
-            rel = lat.coordinates(coords)
-            if rel is not None:
-                cols.append([Fraction(c) for c in rel])
-            else:
-                cols.append(_rational_coords(lat, coords))
+            cols.append(_span_coords(lat, coords))
         mats.append(QMatrix(dim, dim, [cols[j][k] for k in range(dim)
                                        for j in range(dim)]))
     return mats
@@ -1001,20 +937,10 @@ def build_manifest(J: TruncatedForm,
         "lattice": V.lattice.to_json(),
         "cutoff": V.cutoff,
         "generators": [V.format_element(g) for g in J.generators],
-        "degrees": {},
+        "degrees": cert.to_json()["degrees"],
     }
     if J.gen_degree is not None:
         out["gen_degree"] = J.gen_degree
-    for d in range(V.cutoff + 1):
-        info = cert.degrees.get(d)
-        if info is None:
-            continue
-        out["degrees"][str(d)] = {
-            "basis_rank": info["rank"],
-            "gram": [[format_rational(x) for x in row]
-                     for row in info["gram"]],
-            "li": info["li"],
-        }
     if J.saturation_trace:
         out["denominator_trace"] = [
             {str(d): den for d, den in sorted(pass_info.items())}
@@ -1036,32 +962,17 @@ def form_from_manifest(data: dict, iter_bound: int = 50):
     return V, J
 
 
-def _rational_coords(lat: ZLattice, vector):
-    mat = QMatrix.from_rows(lat.basis_rows())
-    vq = [Fraction(x) for x in vector]
-    # solve y * basis = vector by elimination on the transpose
-    n = mat.cols
-    r = mat.rows
-    aug = [[mat.entry(i, j) for i in range(r)] + [vq[j]] for j in range(n)]
-    sol = [Fraction(0)] * r
-    rr = 0
-    piv = {}
-    for c in range(r):
-        p = next((i for i in range(rr, n) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[rr], aug[p] = aug[p], aug[rr]
-        dvd = aug[rr][c]
-        aug[rr] = [x / dvd for x in aug[rr]]
-        for i in range(n):
-            if i != rr and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rr])]
-        piv[c] = rr
-        rr += 1
-    for i in range(rr, n):
-        if aug[i][r]:
-            raise FormError("product left the rational span of the piece")
-    for c, i in piv.items():
-        sol[c] = aug[i][r]
-    return sol
+def _span_coords(lat: ZLattice, vector) -> list:
+    """Rational coordinates of vector in the lattice's basis.
+
+    The basis rows are independent, so the rows stacked with the vector
+    have a kernel of rank one exactly when the vector lies in their span.
+    """
+    w = [Fraction(x) * lat.den for x in vector]
+    scale = lcm(1, *(x.denominator for x in w))
+    ker = kernel_int(list(lat.rows) + [[int(x * scale) for x in w]],
+                     lat.ambient_dim)
+    if not ker:
+        raise FormError("product left the rational span of the piece")
+    *y, c = ker[0]
+    return [Fraction(-x, c * scale) for x in y]

@@ -14,9 +14,9 @@ from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from voaforms.exact import (
-    QMatrix,
     ZLattice,
     DimensionMismatchError,
+    hnf_int,
     kernel_int,
     lattice_intersect,
     lattice_sum,
@@ -152,30 +152,24 @@ class Character:
         return Character((1,) * rank)
 
 
-def eigenlattice(lattice: ZLattice, action: SignedAction,
-                 char: Character) -> ZLattice:
-    """Sublattice on which every generator acts by the character's sign."""
-    if len(char.signs) != action.rank:
-        raise ValueError("character length != action rank")
-    if not action.preserves(lattice):
-        raise PreservationError("action does not preserve the lattice")
+def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
+                        signs: Sequence[int]) -> ZLattice:
+    """Sublattice of the x with g.x = s*x for each paired matrix g and sign s.
+
+    No check is made that the matrices are involutions or preserve the
+    lattice.
+    """
+    if lattice.rank == 0 or not matrices:
+        return lattice
     n = lattice.ambient_dim
-    if lattice.rank == 0:
-        return lattice
     h = [list(r) for r in lattice.rows]
-    # x = y*H/D lies in the eigenlattice iff y * (H*(g^T - s*I)) = 0 for all
-    # generators; stack the constraint blocks horizontally.
-    blocks = []
-    for g, s in zip(action.generators, char.signs):
-        block = []
-        for row in h:
+    # x = y*H/D lies in the sublattice iff y * (H*(g^T - s*I)) = 0 for all
+    # pairs; stack the constraint blocks horizontally.
+    stacked = [[] for _ in h]
+    for g, s in zip(matrices, signs):
+        for row, out in zip(h, stacked):
             img = apply_matrix(g, row)
-            block.append([img[j] - s * row[j] for j in range(n)])
-        blocks.append(block)
-    stacked = [sum((blocks[b][i] for b in range(len(blocks))), [])
-               for i in range(len(h))]
-    if not blocks:
-        return lattice
+            out.extend(img[j] - s * row[j] for j in range(n))
     ker = kernel_int(stacked, len(stacked[0]))
     rows = []
     for y in ker:
@@ -183,6 +177,16 @@ def eigenlattice(lattice: ZLattice, action: SignedAction,
                         lattice.den) for j in range(n)]
         rows.append(vec)
     return ZLattice.from_rows(n, rows)
+
+
+def eigenlattice(lattice: ZLattice, action: SignedAction,
+                 char: Character) -> ZLattice:
+    """Sublattice on which every generator acts by the character's sign."""
+    if len(char.signs) != action.rank:
+        raise ValueError("character length != action rank")
+    if not action.preserves(lattice):
+        raise PreservationError("action does not preserve the lattice")
+    return common_eigenlattice(lattice, action.generators, char.signs)
 
 
 def total_eigenlattice(lattice: ZLattice, action: SignedAction) -> ZLattice:
@@ -270,8 +274,7 @@ def invariant_intersection(lattice: ZLattice, matrices: Iterable,
     mats = [_mat_tuple(m) for m in matrices]
     n = lattice.ambient_dim
     for m in mats:
-        q = QMatrix.from_rows([[Fraction(x) for x in row] for row in m])
-        if q.rank() < n:
+        if len(hnf_int(m, n)) < n:
             raise ActionError("matrix is singular")
     group = close_matrix_group(mats, n, bound)
     inter = lattice

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from voaforms.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -200,3 +203,143 @@ class TestDeterminism:
         man = build_manifest(tmp_path, a1_files)
         monkeypatch.setenv("VOAFORMS_THREADS", "zero")
         assert main(["dual", "--manifest", str(man)]) == 1
+
+
+class TestGolden:
+    """JSON reports for A1 at cutoff 3, byte for byte (seed 0 unless set)."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("build", ["build", "--lattice", "{lattice}", "--generators",
+                   "{generators}", "--max-degree", "3"]),
+        ("verify", ["verify", "--manifest", "{manifest}", "--seed", "7"]),
+        ("rescale", ["rescale", "--manifest", "{manifest}"]),
+        ("dual", ["dual", "--manifest", "{manifest}"]),
+        ("tel", ["tel", "--manifest", "{manifest}", "--action", "{action}"]),
+        ("nli-transfer", ["nli-transfer", "--manifest", "{manifest}",
+                          "--other", "{manifest}"]),
+    ])
+    def test_json_report_bytes(self, tmp_path, a1_files, name, argv):
+        lat, gens = a1_files
+        action = tmp_path / "action.json"
+        action.write_text('{"isometries": [[[-1]]]}')
+        paths = {"lattice": lat, "generators": gens, "action": action,
+                 "manifest": GOLDEN / "build.json"}
+        out = tmp_path / "out.json"
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv + ["--format", "json", "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _manifest(tmp_path, name="m.json", **fields):
+    """The golden A1 manifest with fields replaced (None deletes one)."""
+    data = json.loads((GOLDEN / "build.json").read_text())
+    for key, value in fields.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return _write(tmp_path, name, data)
+
+
+def _lattice(t):
+    return _write(t, "a1.json", '{"rank": 1, "gram": [[2]]}')
+
+
+def _action(t):
+    return _write(t, "action.json", '{"isometries": [[[-1]]]}')
+
+
+BAD_LITERAL = ["1 * e(0)", "1 * e(("]
+NOT_UTF8 = b"\xff\xfe{}"
+
+MALFORMED = {
+    "dual-no-lattice": (lambda t: [
+        "dual", "--manifest", _manifest(t, lattice=None)], "manifest"),
+    "tel-no-lattice": (lambda t: [
+        "tel", "--manifest", _manifest(t, lattice=None),
+        "--action", _action(t)], "manifest"),
+    "nli-no-lattice": (lambda t: [
+        "nli-transfer", "--manifest", _manifest(t, lattice=None),
+        "--other", str(GOLDEN / "build.json")], "manifest"),
+    "nli-other-no-lattice": (lambda t: [
+        "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
+        "--other", _manifest(t, lattice=None)], "other"),
+    "rescale-bad-literal": (lambda t: [
+        "rescale", "--manifest", _manifest(t, generators=BAD_LITERAL)],
+        "manifest"),
+    "nli-other-bad-literal": (lambda t: [
+        "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
+        "--other", _manifest(t, generators=BAD_LITERAL)], "other"),
+    "verify-directory": (lambda t: [
+        "verify", "--manifest", str(t)], "manifest"),
+    "verify-not-utf8": (lambda t: [
+        "verify", "--manifest", _write(t, "m.json", NOT_UTF8)], "manifest"),
+    "verify-top-level-list": (lambda t: [
+        "verify", "--manifest", _write(t, "m.json", "[1, 2]")], "manifest"),
+    "build-lattice-number": (lambda t: [
+        "build", "--lattice", _write(t, "l.json", "5"),
+        "--max-degree", "2"], "lattice"),
+    "build-rank-string": (lambda t: [
+        "build", "--lattice",
+        _write(t, "l.json", '{"rank": "x", "gram": [[2]]}'),
+        "--max-degree", "2"], "lattice"),
+    "build-rank-fraction": (lambda t: [
+        "build", "--lattice",
+        _write(t, "l.json", '{"rank": 1.5, "gram": [[2]]}'),
+        "--max-degree", "2"], "lattice"),
+    "build-generators-directory": (lambda t: [
+        "build", "--lattice", _lattice(t), "--generators", str(t),
+        "--max-degree", "2"], "generators"),
+    "build-generators-not-utf8": (lambda t: [
+        "build", "--lattice", _lattice(t),
+        "--generators", _write(t, "g.txt", NOT_UTF8),
+        "--max-degree", "2"], "generators"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_names_field(tmp_path, capsys, case):
+    make_argv, field = MALFORMED[case]
+    assert main(make_argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: "), err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", [
+        "verify", "rescale", "dual", "tel", "nli-transfer"])
+    def test_divergent_manifest_exits_2(self, tmp_path, capsys, command):
+        man = _manifest(tmp_path, generators=["1/2 * e(1)", "1/2 * e(-1)"])
+        argv = [command, "--manifest", man, "--iter-bound", "2"]
+        if command == "tel":
+            argv += ["--action", _action(tmp_path)]
+        if command == "nli-transfer":
+            argv += ["--other", man]
+        assert main(argv) == 2
+        assert "growth trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--lattice", "a1.json", "--max-degree", "abc"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

@@ -7,6 +7,7 @@ from voaforms.latgroup import Character
 import voaforms.forms as fm
 from voaforms.forms import (
     ConclusionError,
+    FormError,
     PreconditionError,
     RankMismatchError,
     SaturationError,
@@ -435,6 +436,38 @@ class TestInvariantIntersect:
         assert out.lattice(1) == j4.lattice(1)
 
 
+@pytest.fixture(scope="module")
+def a2_rotation():
+    """A2 at cutoff 2, its standard form, and the lift of an order-3 rotation."""
+    V = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 2)
+    return V, fm.standard_form(V), VOAAutomorphism(V, [[-1, -1], [1, 0]])
+
+
+class TestOrderThreeRotation:
+    # not an involution, so the fixed lattice must not go through the
+    # involution checks of a SignedAction
+    def test_fixed_subform_ranks_are_average_traces(self, a2_rotation):
+        from voaforms.latgroup import apply_matrix
+        V, J, rho = a2_rotation
+        fixed = fm.fixed_subform(J, [rho])
+        assert [fixed.rank(d) for d in range(3)] == [1, 2, 5]
+        for d in range(3):
+            m = rho.matrix(d)
+            n = len(m)
+            m2 = [[sum(m[i][k] * m[k][j] for k in range(n))
+                   for j in range(n)] for i in range(n)]
+            traces = n + sum(m[i][i] for i in range(n)) + \
+                sum(m2[i][i] for i in range(n))
+            assert 3 * fixed.rank(d) == traces
+            for row in fixed.lattice(d).basis_rows():
+                assert apply_matrix(m, row) == row
+
+    def test_intersection_group_bound(self, a2_rotation):
+        _, J, rho = a2_rotation
+        with pytest.raises(FormError):
+            fm.invariant_form_intersect(J, [rho], bound=2)
+
+
 class TestMutualScale:
     def test_same_form(self, j4):
         mjk, mkj, per = fm.mutual_scale_report(j4, j4)
@@ -481,6 +514,14 @@ class TestDegreeTraceForm:
     def test_mode_matrices_are_integral(self, j4):
         for mat in fm.degree_mode_matrices(j4, 2):
             assert all(e.denominator == 1 for e in mat.entries)
+
+    def test_mode_matrices_halved_piece(self, j4):
+        # halving the basis halves every structure constant, so the
+        # coordinates leave the lattice but stay in its rational span
+        half = j4.with_scaled_degree(2, F(1, 2))
+        for mat, want in zip(fm.degree_mode_matrices(half, 2),
+                             fm.degree_mode_matrices(j4, 2)):
+            assert mat == want.scale(F(1, 2))
 
     def test_trace_form_symmetric_integer(self, j4):
         tf = fm.degree_trace_form(j4, 2)
