@@ -192,6 +192,8 @@ def _render_manifest_text(m: dict) -> str:
 def _suite_manifest_consistency(V, J, manifest):
     want = fm.check_lattice_integral(J).to_json()["degrees"]
     recorded = manifest.get("degrees", {})
+    if not isinstance(recorded, dict):
+        raise InputError("manifest: degrees: not an object")
     for d in range(V.cutoff + 1):
         info = want.get(str(d))
         rec = recorded.get(str(d))
@@ -199,8 +201,13 @@ def _suite_manifest_consistency(V, J, manifest):
             return False, f"degree {d}: presence mismatch"
         if info is None:
             continue
+        if not isinstance(rec, dict):
+            raise InputError(f"manifest: degrees.{d}: not an object")
         for key, what in (("basis_rank", "rank"), ("gram", "gram"),
                           ("li", "li flag")):
+            if key not in rec:
+                raise InputError(
+                    f"manifest: degrees.{d}: missing field '{key}'")
             if rec[key] != info[key]:
                 return False, f"degree {d}: {what} mismatch"
     return True, None
@@ -428,7 +435,11 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
     if "isometries" not in data:
         raise InputError("action: missing field 'isometries'")
     mats = data["isometries"]
+    if not isinstance(mats, list):
+        raise InputError("action: isometries: not a list")
     signs = data.get("tail_signs") or [None] * len(mats)
+    if not isinstance(signs, list):
+        raise InputError("action: tail_signs: not a list")
     if len(signs) != len(mats):
         raise InputError("action: tail_signs length != isometries length")
     auts = []

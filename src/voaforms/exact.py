@@ -376,12 +376,15 @@ class ZLattice:
     idempotent, so equality is structural equality of the stored data.
     """
 
-    __slots__ = ("ambient_dim", "den", "rows")
+    __slots__ = ("ambient_dim", "den", "rows", "pivots")
 
     def __init__(self, ambient_dim: int, den: int, rows: tuple) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
+        # first nonzero column of each row (stored rows are never zero)
+        object.__setattr__(self, "pivots", tuple(
+            next(j for j, x in enumerate(row) if x) for row in rows))
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("ZLattice is immutable")
@@ -446,24 +449,28 @@ class ZLattice:
 
     def coordinates(self, vector: Sequence) -> list | None:
         """Integer coordinates of ``vector`` in the canonical basis, or None."""
-        vec = [Fraction(x) for x in vector]
-        if len(vec) != self.ambient_dim:
+        if len(vector) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong length")
-        scaled = [x * self.den for x in vec]
-        if any(x.denominator != 1 for x in scaled):
-            return None
-        w = [int(x) for x in scaled]
-        coords = []
-        for row in self.rows:
-            j = next((c for c, x in enumerate(row) if x), None)
-            if j is None:  # pragma: no cover - no zero rows stored
+        den = self.den
+        w = []
+        for x in vector:
+            if isinstance(x, int):
+                w.append(x * den)
                 continue
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
+            q, r = divmod(x.numerator * den, x.denominator)
+            if r:
+                return None
+            w.append(q)
+        coords = []
+        for row, j in zip(self.rows, self.pivots):
             q, r = divmod(w[j], row[j])
             if r:
                 return None
             coords.append(q)
             if q:
-                w = [a - q * b for a, b in zip(w, row)]
+                w[j:] = [a - q * b for a, b in zip(w[j:], row[j:])]
         if any(w):
             return None
         return coords

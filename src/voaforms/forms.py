@@ -154,12 +154,18 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                   iter_bound: int = 50) -> TruncatedForm:
     """Close the generators (plus the vacuum) under all truncated products.
 
-    Maintains one canonical lattice per degree plus the growing list of
-    found vectors that generate it; each pass multiplies every ordered pair
-    of listed vectors not seen before, over every k whose product lands
-    below the cutoff.  Stops when a pass adds nothing.  A failure to
-    stabilize raises SaturationError carrying the per-pass rank/denominator
-    trace (which is also the denominator-growth report for converged runs).
+    Maintains one canonical lattice per degree.  Each pass takes the basis
+    rows of the lattices as they stand at its start and, for every ordered
+    degree pair (da, db) with da != 0 where L_da or L_db changed in the
+    previous pass (every pair in the first pass), adds each product u_k v of
+    a row u of L_da and a row v of L_db landing below the cutoff to the live
+    lattice of its degree.  Products are bilinear, so these rows generate
+    the same products as any spanning set, and a pair whose lattices did not
+    change has had its products added already; each pass therefore ends on
+    the same lattices as multiplying every vector found so far.  Stops when
+    a pass changes no lattice.  A failure to stabilize raises
+    SaturationError carrying the per-pass denominator trace (which is also
+    the denominator-growth report for converged runs).
     """
     gens = [g for g in generators if not g.is_zero()]
     for g in gens:
@@ -171,47 +177,43 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         raise PreconditionError(
             f"generator of degree {max_gen_degree} exceeds bound {gen_degree}")
 
-    items: list = []           # (degree, vector) in discovery order
     lattices: dict = {}
 
-    def try_add(vec: GradedVector) -> bool:
+    def try_add(vec: GradedVector) -> None:
         if vec.is_zero():
-            return False
+            return
         d, row = V.coords(vec)
         lat = lattices.get(d)
         if lat is None:
             lat = ZLattice.zero(V.dim(d))
-        if row in lat:
-            return False
-        lattices[d] = lattice_sum(lat, ZLattice.from_rows(V.dim(d), [row]))
-        items.append((d, vec))
-        return True
+        if row not in lat:
+            lattices[d] = lattice_sum(lat, ZLattice.from_rows(V.dim(d), [row]))
 
     try_add(V.vacuum())
     for g in gens:
         try_add(g)
 
     trace = []
-    prev = 0
+    changed = set(lattices)
     for _ in range(iter_bound):
-        cur = len(items)
-        added = False
-        for i in range(cur):
-            du, u = items[i]
-            if du == 0:
+        start = dict(lattices)
+        rows = {d: [V.vector_from_coords(d, r) for r in lat.basis_rows()]
+                for d, lat in start.items()}
+        for da in sorted(start):
+            if da == 0:
                 continue  # vacuum as left factor only reproduces the input
-            for j in range(cur):
-                if i < prev and j < prev:
+            for db in sorted(start):
+                if da not in changed and db not in changed:
                     continue
-                dv, v = items[j]
-                for k, terms in _products_all_k(V, u, v).items():
-                    if try_add(GradedVector(terms, V.cutoff)):
-                        added = True
+                for u in rows[da]:
+                    for v in rows[db]:
+                        for terms in _products_all_k(V, u, v).values():
+                            try_add(GradedVector(terms, V.cutoff))
         trace.append({d: lattices[d].den for d in sorted(lattices)})
-        if not added and len(items) == cur:
+        changed = {d for d, lat in lattices.items() if start.get(d) != lat}
+        if not changed:
             return TruncatedForm(V, lattices, [V.vacuum()] + gens,
                                  gen_degree, trace)
-        prev = cur
     raise SaturationError(
         f"saturation did not stabilize within {iter_bound} passes", trace)
 

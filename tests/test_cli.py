@@ -254,10 +254,15 @@ def _lattice(t):
     return _write(t, "a1.json", '{"rank": 1, "gram": [[2]]}')
 
 
-def _action(t):
-    return _write(t, "action.json", '{"isometries": [[[-1]]]}')
+def _action(t, text='{"isometries": [[[-1]]]}'):
+    return _write(t, "action.json", text)
 
 
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+GOLDEN_DEGREES = json.loads((GOLDEN / "build.json").read_text())["degrees"]
 BAD_LITERAL = ["1 * e(0)", "1 * e(("]
 NOT_UTF8 = b"\xff\xfe{}"
 
@@ -299,6 +304,28 @@ MALFORMED = {
     "build-generators-directory": (lambda t: [
         "build", "--lattice", _lattice(t), "--generators", str(t),
         "--max-degree", "2"], "generators"),
+    "tel-isometries-number": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(t, '{"isometries": 5}')],
+        "action: isometries"),
+    "tel-tail-signs-number": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(
+            t, '{"isometries": [[[-1]]], "tail_signs": 3}')],
+        "action: tail_signs"),
+    "verify-degree-no-rank": (lambda t: [
+        "verify", "--manifest", _manifest(t, degrees={
+            **GOLDEN_DEGREES,
+            "1": _without(GOLDEN_DEGREES["1"], "basis_rank")})],
+        "manifest: degrees.1"),
+    "verify-degrees-list": (lambda t: [
+        "verify", "--manifest",
+        _manifest(t, degrees=list(GOLDEN_DEGREES.values()))],
+        "manifest: degrees"),
+    "verify-degree-number": (lambda t: [
+        "verify", "--manifest",
+        _manifest(t, degrees={**GOLDEN_DEGREES, "2": 7})],
+        "manifest: degrees.2"),
     "build-generators-not-utf8": (lambda t: [
         "build", "--lattice", _lattice(t),
         "--generators", _write(t, "g.txt", NOT_UTF8),

@@ -23,6 +23,7 @@ from voaforms.exact import (
 
 from oracles import (
     exponent_by_scan,
+    gauss_solve_left,
     grid_points,
     member_by_solve,
     member_of_span,
@@ -275,6 +276,53 @@ class TestOracleAgreement:
             v = [Fraction(rng.randint(-8, 8), rng.choice([1, 1, 2]))
                  for _ in range(dim)]
             assert membership(v, a) == member_by_solve(v, a.basis_rows())
+
+
+class TestCoordinates:
+    """Stored pivots and integer coordinates against the Gauss-Jordan oracle."""
+
+    def lattices(self):
+        rng = random.Random(41)
+        out = [ZLattice.zero(3), lat([0, 0, 2], [0, 3, 1])]
+        for _ in range(12):
+            a, _ = random_lattice(rng, 3, allow_halves=True)
+            b, _ = random_lattice(rng, 3, allow_halves=True)
+            out += [a, a.scale(Fraction(2, 3)), lattice_intersect(a, b),
+                    ZLattice.from_json(b.to_json())]
+        return out
+
+    def test_pivots_are_first_nonzero_columns(self):
+        for a in self.lattices():
+            assert a.pivots == tuple(
+                next(j for j, x in enumerate(row) if x) for row in a.rows)
+            assert list(a.pivots) == sorted(set(a.pivots))
+
+    def test_coordinates_match_solver(self):
+        grid = grid_points(3, 1, denominator=2)
+        seen = {"member": 0, "fractional": 0, "outside": 0}
+        for a in self.lattices():
+            rows = a.basis_rows()
+            for p in grid:
+                sol = gauss_solve_left(rows, p)
+                if sol is None:
+                    kind, want = "outside", None
+                elif all(x.denominator == 1 for x in sol):
+                    kind, want = "member", [int(x) for x in sol]
+                else:
+                    kind, want = "fractional", None
+                seen[kind] += 1
+                forms = [list(p), [str(x) for x in p]]
+                if all(x.denominator == 1 for x in p):
+                    forms.append([int(x) for x in p])
+                for v in forms:
+                    assert a.coordinates(v) == want, (a, v)
+        assert min(seen.values()) > 0, seen
+
+    def test_wrong_length_raises(self):
+        for a in (lat([1, 0], [0, 2]), ZLattice.zero(2)):
+            for v in ([1, 2, 3], [Fraction(1, 3)], ["1/2", 0, 0]):
+                with pytest.raises(DimensionMismatchError):
+                    a.coordinates(v)
 
 
 class TestZeroLattice:

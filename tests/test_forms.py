@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from voaforms.exact import ZLattice, quotient_exponent
+from voaforms.exact import ZLattice, lattice_sum, quotient_exponent
 from voaforms.latgroup import Character
 import voaforms.forms as fm
 from voaforms.forms import (
@@ -15,7 +15,14 @@ from voaforms.forms import (
     VacuumIntegralityError,
     VOAAutomorphism,
 )
-from voaforms.voa import EvenLattice, NotHomogeneousError, TruncatedVOA
+from voaforms.voa import (
+    EvenLattice,
+    GradedVector,
+    NotHomogeneousError,
+    TruncatedVOA,
+)
+
+from oracles import member_by_solve
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +93,87 @@ class TestGenerateForm:
     def test_closure_sampling(self, j4):
         ok, witness = fm.closure_sample(j4, samples=150, seed=11)
         assert ok and witness is None
+
+
+def _item_saturation(V, generators, iter_bound):
+    """The closure as first written: multiply every pair of found vectors.
+
+    Each vector that enlarges a lattice becomes an item, and each pass
+    multiplies every ordered pair of items not multiplied before.
+    Membership goes through the Gauss-Jordan oracle; lattices only grow, so
+    a row once found inside stays inside and is not solved for again.
+    Returns the lattices, the per-pass denominator trace, and whether the
+    closure converged.
+    """
+    items, lattices, members = [], {}, set()
+
+    def try_add(vec):
+        if vec.is_zero():
+            return False
+        d, row = V.coords(vec)
+        key = (d, tuple(row))
+        if key in members:
+            return False
+        lat = lattices.get(d, ZLattice.zero(V.dim(d)))
+        if lat.rank and member_by_solve(row, lat.basis_rows()):
+            members.add(key)
+            return False
+        lattices[d] = lattice_sum(lat, ZLattice.from_rows(V.dim(d), [row]))
+        items.append((d, vec))
+        return True
+
+    try_add(V.vacuum())
+    for g in generators:
+        try_add(g)
+    trace, prev = [], 0
+    for _ in range(iter_bound):
+        cur = len(items)
+        for i in range(cur):
+            du, u = items[i]
+            if du == 0:
+                continue
+            for j in range(prev if i < prev else 0, cur):
+                for terms in fm._products_all_k(V, u, items[j][1]).values():
+                    try_add(GradedVector(terms, V.cutoff))
+        trace.append({d: lattices[d].den for d in sorted(lattices)})
+        if len(items) == cur:
+            return lattices, trace, True
+        prev = cur
+    return lattices, trace, False
+
+
+class TestSaturationMatchesItemLoop:
+    """Lattice-level passes end on the item loop's lattices, pass by pass."""
+
+    @pytest.mark.parametrize("gram, cutoff, generators", [
+        ([[2]], 3, ["1 * e(1)", "1 * e(-1)"]),
+        ([[2]], 4, ["1 * e(1)", "1 * e(-1)"]),
+        ([[2, 1], [1, 2]], 2,
+         ["1 * e(1,0)", "1 * e(-1,0)", "1 * e(0,1)", "1 * e(0,-1)"]),
+        ([[2]], 3, ["1 * e(1) + 2 * e(-1)", "3 * h(1,-1) * e(0)",
+                    "1 * h(1,-1)^2 * e(0) + 1 * h(1,-2) * e(0)"]),
+    ])
+    def test_converged_forms(self, gram, cutoff, generators):
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        gens = [V.parse_element(s) for s in generators]
+        lattices, trace, converged = _item_saturation(V, gens, 50)
+        assert converged
+        J = fm.generate_form(V, gens)
+        assert J.saturation_trace == trace
+        assert J.degrees() == sorted(lattices)
+        for d, lat in lattices.items():
+            assert (J.lattice(d).den, J.lattice(d).rows) == \
+                (lat.den, lat.rows)
+
+    def test_divergent_trace(self):
+        V = TruncatedVOA(EvenLattice([[2]]), 4)
+        gens = [V.parse_element("1/2 * e(1)"),
+                V.parse_element("1/2 * e(-1)")]
+        _, trace, converged = _item_saturation(V, gens, 3)
+        assert not converged
+        with pytest.raises(SaturationError) as exc:
+            fm.generate_form(V, gens, iter_bound=3)
+        assert exc.value.trace == trace
 
 
 class TestIntegralityCertificates:
