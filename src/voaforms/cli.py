@@ -155,8 +155,6 @@ def cmd_build(args) -> int:
     if args.gen_degree is not None:
         if not (0 <= args.gen_degree <= args.max_degree):
             raise InputError("gen-degree: need 0 <= t <= max-degree")
-    if args.iter_bound < 1:
-        raise InputError("iter-bound: must be >= 1")
     try:
         J = fm.generate_form(V, gens, gen_degree=args.gen_degree,
                              iter_bound=args.iter_bound)
@@ -331,6 +329,8 @@ VERIFY_SUITES = [
 def cmd_verify(args) -> int:
     if args.suite == "dihedral2a":
         return cmd_dihedral2a(args)
+    if args.suite not in ["all"] + [name for name, _ in VERIFY_SUITES]:
+        raise InputError(f"suite: unknown suite {args.suite!r}")
     if not args.manifest:
         raise InputError("manifest: required unless --suite dihedral2a")
     manifest, V, J = _load_form(args.manifest, args.iter_bound)
@@ -371,6 +371,8 @@ def cmd_rescale(args) -> int:
     t = args.gen_degree
     if t is None:
         t = J.gen_degree if J.gen_degree is not None else 1
+    elif not 0 <= t <= V.cutoff:
+        raise InputError(f"gen-degree: need 0 <= t <= cutoff = {V.cutoff}")
     try:
         m1, m2, Jm = fm.rescale_to_integral(J, t, iter_bound=args.iter_bound)
     except fm.SaturationError:
@@ -569,6 +571,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _check_counts(args) -> None:
+    """Range checks of the count options, shared by every subcommand."""
+    if args.iter_bound < 1:
+        raise InputError("iter-bound: must be >= 1")
+    if getattr(args, "stability_order", 1) < 1:
+        raise InputError("stability-order: must be >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="voaforms",
@@ -624,6 +634,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")

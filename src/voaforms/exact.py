@@ -152,30 +152,21 @@ class QMatrix:
         return sum((self.entry(i, i) for i in range(self.rows)), Fraction(0))
 
     def inverse(self) -> "QMatrix":
-        """Exact inverse by Gauss-Jordan elimination.
+        """Exact inverse by fraction-free elimination.
 
         Raises DegenerateFormError if singular.
         """
         n = self.rows
         if n != self.cols:
             raise DimensionMismatchError("inverse of non-square matrix")
-        a = self.row_list()
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise DegenerateFormError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            d = a[col][col]
-            a[col] = [x / d for x in a[col]]
-            inv[col] = [x / d for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return QMatrix.from_rows(inv) if n else QMatrix(0, 0, [])
+        if not n:
+            return QMatrix(0, 0, [])
+        den = lcm(1, *(e.denominator for e in self.entries))
+        a = [[int(x * den) for x in row] for row in self.row_list()]
+        det, y = _bareiss_solve(a, [[int(i == j) for j in range(n)]
+                                    for i in range(n)])
+        return QMatrix(n, n, [Fraction(den * x, det)
+                              for row in y for x in row])
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -204,6 +195,37 @@ def _xgcd(a: int, b: int) -> tuple:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
+
+
+def _bareiss_solve(m: list, b: list) -> tuple:
+    """(d, Y) with M Y = d B and d = +-det(M), for square integer M.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every division
+    by the previous pivot is exact, so all entries stay integers, and at the
+    end each diagonal entry equals d.  ``m`` and ``b`` are sequences of
+    integer rows.  Raises DegenerateFormError if M is singular.
+    """
+    n = len(m)
+    a = [list(mr) + list(br) for mr, br in zip(m, b)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise DegenerateFormError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            ri = a[i]
+            f = ri[k]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in ri]
+        prev = p
+    return prev, [row[n:] for row in a]
 
 
 def _echelon_insert_partial(pivots: dict, vec: list, npiv: int) -> list | None:
@@ -401,8 +423,17 @@ class ZLattice:
         for row in rational:
             for x in row:
                 den = lcm(den, x.denominator)
-        ints = [[int(x * den) for x in row] for row in rational]
-        basis = hnf_int(ints, ambient_dim)
+        return cls._from_ints(ambient_dim, den, [
+            [int(x * den) for x in row] for row in rational])
+
+    @classmethod
+    def _from_ints(cls, ambient_dim: int, den: int,
+                   rows: Iterable[Sequence[int]]) -> "ZLattice":
+        """Canonicalize the Z-span of ``rows / den``, for integer rows.
+
+        ``den`` must be positive; it need not be the least denominator.
+        """
+        basis = hnf_int(rows, ambient_dim)
         g = den
         for row in basis:
             for x in row:
@@ -443,9 +474,9 @@ class ZLattice:
         c = Fraction(c)
         if c == 0:
             return ZLattice.zero(self.ambient_dim)
-        return ZLattice.from_rows(
-            self.ambient_dim,
-            [[c * Fraction(x, self.den) for x in row] for row in self.rows])
+        return ZLattice._from_ints(
+            self.ambient_dim, self.den * c.denominator,
+            [[c.numerator * x for x in row] for row in self.rows])
 
     def coordinates(self, vector: Sequence) -> list | None:
         """Integer coordinates of ``vector`` in the canonical basis, or None."""
@@ -463,6 +494,14 @@ class ZLattice:
             if r:
                 return None
             w.append(q)
+        return self.int_coordinates(w)
+
+    def int_coordinates(self, w: list) -> list | None:
+        """Integer coordinates of ``w / den``, or None if it is not a member.
+
+        ``w`` is a list of ints over this lattice's denominator; it is
+        consumed.
+        """
         coords = []
         for row, j in zip(self.rows, self.pivots):
             q, r = divmod(w[j], row[j])
@@ -515,7 +554,11 @@ def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
     """Smallest lattice containing both operands."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    return ZLattice.from_rows(a.ambient_dim, a.basis_rows() + b.basis_rows())
+    den = lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    return ZLattice._from_ints(
+        a.ambient_dim, den, [[x * fa for x in row] for row in a.rows]
+        + [[x * fb for x in row] for row in b.rows])
 
 
 def lattice_intersect(a: ZLattice, b: ZLattice) -> ZLattice:
@@ -541,17 +584,18 @@ def lattice_intersect(a: ZLattice, b: ZLattice) -> ZLattice:
         vec = list(w) + [0] * n
         if _echelon_insert_partial(pivots, vec, n) is None and any(vec[n:]):
             inter.append(vec[n:])
-    return ZLattice.from_rows(n, [[Fraction(x, den) for x in row]
-                                  for row in inter])
+    return ZLattice._from_ints(n, den, inter)
 
 
 def quotient_invariants(a: ZLattice, b: ZLattice) -> list:
     """Elementary divisors of A/B for B <= A with equal rational span."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
+    # B <= A forces b.den | a.den (a.den * B lies in a.den * A, inside Z^n)
+    f, r = divmod(a.den, b.den)
     coords = []
-    for row in b.basis_rows():
-        c = a.coordinates(row)
+    for row in b.rows:
+        c = None if r else a.int_coordinates([x * f for x in row])
         if c is None:
             raise NotSublatticeError("B is not contained in A")
         coords.append(c)
@@ -582,6 +626,27 @@ def membership(vector: Sequence, a: ZLattice) -> bool:
     return a.coordinates(vector) is not None
 
 
+def int_gram(rows: Sequence[Sequence[int]],
+             form: Sequence[Sequence]) -> tuple:
+    """(M, fden) with rows @ form @ rows^T == M / fden and M integral.
+
+    ``rows`` are integer vectors and ``form`` a square rational matrix given
+    by its rows; fden is the lcm of the form's entry denominators.  Zero
+    coordinates and zero form entries are skipped.
+    """
+    fden = lcm(1, *(x.denominator for row in form for x in row))
+    f = [[(j, int(x * fden)) for j, x in enumerate(row) if x] for row in form]
+    out = []
+    for u in rows:
+        uf = {}
+        for i, x in enumerate(u):
+            if x:
+                for j, fij in f[i]:
+                    uf[j] = uf.get(j, 0) + x * fij
+        out.append([sum(c * w[j] for j, c in uf.items()) for w in rows])
+    return out, fden
+
+
 def dual_lattice(a: ZLattice, gram: QMatrix) -> ZLattice:
     """Dual of A inside its own rational span, w.r.t. the given form.
 
@@ -594,11 +659,14 @@ def dual_lattice(a: ZLattice, gram: QMatrix) -> ZLattice:
         raise ValueError("form is not symmetric")
     if a.rank == 0:
         return a
-    r = a.basis
-    m = r @ gram @ r.transpose()
+    # With A = H/den and gram = G/gden for integer H and G, the dual rows
+    # are (H G H^T / (den^2 gden))^-1 H/den = den gden M^-1 H for the
+    # integer M = H G H^T, and the fraction-free solve gives d M^-1 H.
+    m, gden = int_gram(a.rows, gram.row_list())
     try:
-        minv = m.inverse()
+        d, y = _bareiss_solve(m, a.rows)
     except DegenerateFormError:
         raise DegenerateFormError("form is degenerate on the span of A")
-    dual_rows = (minv @ r).row_list()
-    return ZLattice.from_rows(a.ambient_dim, dual_rows)
+    f = a.den * gden if d > 0 else -a.den * gden
+    return ZLattice._from_ints(a.ambient_dim, abs(d),
+                               [[f * x for x in row] for row in y])

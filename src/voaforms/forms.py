@@ -26,6 +26,7 @@ from voaforms.exact import (
     ZLattice,
     dual_lattice,
     format_rational,
+    int_gram,
     kernel_int,
     lattice_intersect,
     lattice_sum,
@@ -253,18 +254,15 @@ def form_gram(J: TruncatedForm, degree: int) -> list:
     hit = J._gram_cache.get(degree)
     if hit is not None:
         return hit
-    V = J.host
-    rows = J.lattice(degree).basis_rows()
-    fm = V.form_matrix(degree)
-    n = V.dim(degree)
-    out = []
-    for u in rows:
-        fu = [sum((u[i] * fm[i][j] for i in range(n)), Fraction(0))
-              for j in range(n)]
-        out.append([sum((fu[j] * w[j] for j in range(n)), Fraction(0))
-                    for w in rows])
+    # With the basis H/den and the form matrix F/fden for integer H and F,
+    # the Gram matrix is H F H^T / (den^2 fden).
+    lat = J.lattice(degree)
+    m, fden = int_gram(lat.rows, J.host.form_matrix(degree))
+    scale = lat.den * lat.den * fden
+    out = [[Fraction(x, scale) for x in row] for row in m]
     J._gram_cache[degree] = out
     return out
+
 
 def check_lattice_integral(J: TruncatedForm) -> LICertificate:
     """PASS with per-degree Gram matrices, or FAIL with the first bad entry."""
@@ -724,8 +722,8 @@ class VOAAutomorphism:
         for d in J.degrees():
             lat = J.lattice(d)
             mat = self.matrix(d)
-            for row in lat.basis_rows():
-                if apply_matrix(mat, row) not in lat:
+            for row in lat.rows:
+                if lat.int_coordinates(apply_matrix(mat, row)) is None:
                     return False
         return True
 

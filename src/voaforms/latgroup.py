@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 from typing import Iterable, Sequence
 
 from voaforms.exact import (
@@ -52,8 +53,8 @@ def _mat_identity(n: int) -> tuple:
 
 def apply_matrix(m: Sequence[Sequence], vector: Sequence) -> list:
     """Image of a (row) vector under the matrix acting on coordinates."""
-    return [sum(m[i][j] * vector[j] for j in range(len(vector)))
-            for i in range(len(m))]
+    nonzero = [(j, x) for j, x in enumerate(vector) if x]
+    return [sum(row[j] * x for j, x in nonzero) for row in m]
 
 
 class SignedAction:
@@ -93,9 +94,8 @@ class SignedAction:
         return out
 
     def preserves(self, lattice: ZLattice) -> bool:
-        rows = lattice.basis_rows()
-        return all(apply_matrix(g, row) in lattice
-                   for g in self.generators for row in rows)
+        return all(lattice.int_coordinates(apply_matrix(g, row)) is not None
+                   for g in self.generators for row in lattice.rows)
 
     def to_json(self) -> dict:
         return {"dim": self.ambient_dim,
@@ -171,12 +171,9 @@ def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
             img = apply_matrix(g, row)
             out.extend(img[j] - s * row[j] for j in range(n))
     ker = kernel_int(stacked, len(stacked[0]))
-    rows = []
-    for y in ker:
-        vec = [Fraction(sum(y[i] * h[i][j] for i in range(len(h))),
-                        lattice.den) for j in range(n)]
-        rows.append(vec)
-    return ZLattice.from_rows(n, rows)
+    return ZLattice._from_ints(n, lattice.den, [
+        [sum(y[i] * h[i][j] for i in range(len(h))) for j in range(n)]
+        for y in ker])
 
 
 def eigenlattice(lattice: ZLattice, action: SignedAction,
@@ -236,8 +233,10 @@ def idempotent_project(vector: Sequence, action: SignedAction,
 
 def image_lattice(matrix: Sequence[Sequence], lattice: ZLattice) -> ZLattice:
     """The lattice g.L for an invertible rational matrix g."""
-    rows = [apply_matrix(matrix, r) for r in lattice.basis_rows()]
-    return ZLattice.from_rows(lattice.ambient_dim, rows)
+    mden = lcm(1, *(Fraction(x).denominator for row in matrix for x in row))
+    mint = [[int(x * mden) for x in row] for row in matrix]
+    return ZLattice._from_ints(lattice.ambient_dim, lattice.den * mden,
+                               [apply_matrix(mint, r) for r in lattice.rows])
 
 
 def close_matrix_group(mats: Iterable, dim: int, bound: int = 1024) -> list:
@@ -282,7 +281,8 @@ def invariant_intersection(lattice: ZLattice, matrices: Iterable,
         inter = lattice_intersect(inter, image_lattice(g, lattice))
     e = quotient_exponent(lattice, inter)
     for g in mats:
-        for row in inter.basis_rows():
-            if apply_matrix(g, row) not in inter:  # pragma: no cover
+        for row in inter.rows:
+            img = apply_matrix(g, row)
+            if inter.int_coordinates(img) is None:  # pragma: no cover
                 raise ActionError("intersection is not invariant")
     return inter, e

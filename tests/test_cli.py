@@ -330,6 +330,25 @@ MALFORMED = {
         "build", "--lattice", _lattice(t),
         "--generators", _write(t, "g.txt", NOT_UTF8),
         "--max-degree", "2"], "generators"),
+    "rescale-gen-degree-above-cutoff": (lambda t: [
+        "rescale", "--manifest", str(GOLDEN / "build.json"),
+        "--gen-degree", "9"], "gen-degree"),
+    "rescale-gen-degree-negative": (lambda t: [
+        "rescale", "--manifest", str(GOLDEN / "build.json"),
+        "--gen-degree", "-1"], "gen-degree"),
+    "verify-unknown-suite": (lambda t: [
+        "verify", "--manifest", str(GOLDEN / "build.json"),
+        "--suite", "integrality-typo"], "suite"),
+    "dual-stability-order-negative": (lambda t: [
+        "dual", "--manifest", str(GOLDEN / "build.json"),
+        "--stability-order", "-2"], "stability-order"),
+    **{f"{command}-iter-bound-0": (lambda t, command=command: [
+        command, "--manifest", str(GOLDEN / "build.json"),
+        "--iter-bound", "0"]
+        + {"tel": ["--action", _action(t)],
+           "nli-transfer": ["--other", str(GOLDEN / "build.json")]}.get(
+            command, []), "iter-bound")
+       for command in ("verify", "rescale", "dual", "tel", "nli-transfer")},
 }
 
 

@@ -175,6 +175,77 @@ class TestDual:
             dual_lattice(a, g)
 
 
+def _det(rows):
+    """Determinant over Q by plain Gaussian elimination (test reference)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _pairing(rows_a, gram, rows_b):
+    n = len(gram)
+    return [[sum(u[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
+             for w in rows_b] for u in rows_a]
+
+
+class TestDualAgainstDefinition:
+    """Dual rows lie in span(A) and pair with A's rows unimodularly."""
+
+    GRAMS = {
+        2: [[[2, 1], [1, 2]], [[0, 1], [1, 0]], [[1, 0], [0, -1]],
+            [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), -1]]],
+        3: [[[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            [[Fraction(1, 2), 0, Fraction(1, 3)], [0, Fraction(-3, 4), 0],
+             [Fraction(1, 3), 0, 2]]],
+    }
+
+    def test_random_lattices_and_forms(self):
+        rng = random.Random(5)
+        seen = {"low rank": 0, "den > 1": 0, "degenerate": 0, "checked": 0}
+        for _ in range(150):
+            dim = rng.choice((2, 3))
+            gram = rng.choice(self.GRAMS[dim])
+            a, _ = random_lattice(rng, dim, allow_halves=True)
+            if a.rank == 0:
+                continue
+            a = a.scale(Fraction(rng.choice((1, 2, 3)), rng.choice((1, 3, 5))))
+            rows = a.basis_rows()
+            g = QMatrix.from_rows(gram)
+            if _det(_pairing(rows, gram, rows)) == 0:
+                with pytest.raises(DegenerateFormError):
+                    dual_lattice(a, g)
+                seen["degenerate"] += 1
+                continue
+            d = dual_lattice(a, g)
+            assert d.rank == a.rank
+            for row in d.basis_rows():
+                assert gauss_solve_left(rows, row) is not None
+            pairing = _pairing(d.basis_rows(), gram, rows)
+            assert all(x.denominator == 1 for row in pairing for x in row)
+            assert _det(pairing) in (1, -1)
+            seen["checked"] += 1
+            seen["low rank"] += a.rank < dim
+            seen["den > 1"] += a.den > 1
+        assert all(seen.values()), seen
+
+    def test_isotropic_line_is_degenerate(self):
+        with pytest.raises(DegenerateFormError):
+            dual_lattice(lat([1, 0]), QMatrix.from_rows([[0, 1], [1, 0]]))
+
+
 class TestMembership:
     def test_generator(self):
         a = lat([2, 0], [0, 2], [1, 1])

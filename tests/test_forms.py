@@ -556,6 +556,51 @@ class TestOrderThreeRotation:
             fm.invariant_form_intersect(J, [rho], bound=2)
 
 
+@pytest.fixture(scope="module")
+def a2n3_standard():
+    V = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3)
+    return V, fm.standard_form(V)
+
+
+class TestIntegerKernelsMatchFractions:
+    """Gram matrices and images against entrywise Fraction references."""
+
+    def test_form_gram_every_degree(self, a2n3_standard):
+        V, S = a2n3_standard
+        half = S.with_scaled_degree(1, F(1, 2))
+        assert half.lattice(1).den > 1
+        for J in (S, half):
+            assert J.degrees() == list(range(V.cutoff + 1))
+            for d in J.degrees():
+                rows = J.lattice(d).basis_rows()
+                fmat = V.form_matrix(d)
+                n = V.dim(d)
+                uf = [[sum((u[i] * fmat[i][j] for i in range(n)), F(0))
+                       for j in range(n)] for u in rows]
+                want = [[sum((x * y for x, y in zip(fu, w)), F(0))
+                         for w in rows] for fu in uf]
+                got = fm.form_gram(J, d)
+                assert got == want
+                assert all(type(x) is F for row in got for x in row)
+
+    def test_image_of_rational_matrix(self, a2n3_standard):
+        from voaforms.latgroup import image_lattice
+        V, S = a2n3_standard
+        lat = S.lattice(2).scale(F(3, 4))
+        assert lat.den > 1
+        swap = VOAAutomorphism(V, [[0, 1], [1, 0]]).matrix(2)
+        # (1/3) swap + 1/2 is invertible: swap has eigenvalues +-1 only
+        mat = [[F(x, 3) + F(int(i == j), 2) for j, x in enumerate(row)]
+               for i, row in enumerate(swap)]
+        n = len(mat)
+        want = [[sum((mat[i][j] * r[j] for j in range(n)), F(0))
+                 for i in range(n)] for r in lat.basis_rows()]
+        got = image_lattice(mat, lat)
+        assert got.rank == lat.rank
+        assert all(member_by_solve(r, want) for r in got.basis_rows())
+        assert all(member_by_solve(r, got.basis_rows()) for r in want)
+
+
 class TestMutualScale:
     def test_same_form(self, j4):
         mjk, mkj, per = fm.mutual_scale_report(j4, j4)
