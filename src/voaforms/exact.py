@@ -39,6 +39,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an int; 2.0 passes, while 2.5, "2" or True raises."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or isinstance(value, bool):
+        raise ValueError(f"{what}: not an integer: {value!r}")
+    return n
+
+
 def format_rational(value: Fraction) -> str:
     """Format a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
     f = Fraction(value)

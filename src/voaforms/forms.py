@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from voaforms.exact import (
     DegenerateFormError,
     QMatrix,
     ZLattice,
+    as_integer,
     dual_lattice,
     format_rational,
     int_gram,
@@ -95,7 +96,7 @@ class TruncatedForm:
         self.gen_degree = gen_degree
         self.saturation_trace = saturation_trace or []
         self._gram_cache = {}
-        self._dual_cache = None
+        self._duals = {}
 
     def lattice(self, degree: int) -> ZLattice:
         lat = self.lattices.get(degree)
@@ -136,18 +137,23 @@ class TruncatedForm:
 # generation by saturation
 # ---------------------------------------------------------------------------
 
-def _products_all_k(V: TruncatedVOA, u: GradedVector, v: GradedVector) -> dict:
-    """{k: term dict} for all products u_k v landing below the cutoff."""
+def _products_all_k(V: TruncatedVOA, u: list, v: list) -> dict:
+    """{k: {target index: num}} for all products u_k v below the cutoff.
+
+    u and v are sparse int rows [(monomial, x)] over den_u and den_v; num
+    is over den_u * den_v * V.product_den and may be zero.
+    """
     out: dict = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            cc = c1 * c2
+    for m1, x in u:
+        for m2, y in v:
+            xy = x * y
             for k, bucket in V.pair_products(m1, m2).items():
-                tgt = out.setdefault(k, {})
-                for mono, c in bucket.items():
-                    tgt[mono] = tgt.get(mono, Fraction(0)) + cc * c
-    return {k: b for k, b in ((k, {m: c for m, c in b.items() if c})
-                              for k, b in out.items()) if b}
+                tgt = out.get(k)
+                if tgt is None:
+                    tgt = out[k] = {}
+                for i, c in bucket.items():
+                    tgt[i] = tgt.get(i, 0) + xy * c
+    return out
 
 
 def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
@@ -166,7 +172,8 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     the same lattices as multiplying every vector found so far.  Stops when
     a pass changes no lattice.  A failure to stabilize raises
     SaturationError carrying the per-pass denominator trace (which is also
-    the denominator-growth report for converged runs).
+    the denominator-growth report for converged runs).  Rows are ints over
+    their lattice's denominator throughout.
     """
     gens = [g for g in generators if not g.is_zero()]
     for g in gens:
@@ -180,36 +187,52 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
 
     lattices: dict = {}
 
-    def try_add(vec: GradedVector) -> None:
-        if vec.is_zero():
-            return
-        d, row = V.coords(vec)
+    def try_add(d: int, den: int, w: list) -> None:
+        """Add w / den, a nonzero integer row over the degree-d basis."""
         lat = lattices.get(d)
         if lat is None:
             lat = ZLattice.zero(V.dim(d))
-        if row not in lat:
-            lattices[d] = lattice_sum(lat, ZLattice.from_rows(V.dim(d), [row]))
+        g = gcd(den, *w)
+        if g > 1:
+            den //= g
+            w = [x // g for x in w]
+        # w / den is in lat only if lat.den * w / den is integral, which for
+        # coprime (den, w) means den | lat.den
+        f, r = divmod(lat.den, den)
+        if r or lat.int_coordinates([x * f for x in w]) is None:
+            lattices[d] = lattice_sum(
+                lat, ZLattice._from_ints(lat.ambient_dim, den, [w]))
 
-    try_add(V.vacuum())
-    for g in gens:
-        try_add(g)
+    for vec in [V.vacuum()] + gens:
+        d, row = V.coords(vec)
+        den = lcm(1, *(x.denominator for x in row))
+        try_add(d, den, [x.numerator * (den // x.denominator) for x in row])
 
     trace = []
     changed = set(lattices)
     for _ in range(iter_bound):
         start = dict(lattices)
-        rows = {d: [V.vector_from_coords(d, r) for r in lat.basis_rows()]
-                for d, lat in start.items()}
+        rows = {}
+        for d, lat in start.items():
+            basis = V.graded_basis(d)
+            rows[d] = [[(basis[j], x) for j, x in enumerate(r) if x]
+                       for r in lat.rows]
         for da in sorted(start):
             if da == 0:
                 continue  # vacuum as left factor only reproduces the input
             for db in sorted(start):
                 if da not in changed and db not in changed:
                     continue
+                den = start[da].den * start[db].den * V.product_den
                 for u in rows[da]:
                     for v in rows[db]:
-                        for terms in _products_all_k(V, u, v).values():
-                            try_add(GradedVector(terms, V.cutoff))
+                        for k, acc in _products_all_k(V, u, v).items():
+                            d = da + db - k - 1
+                            w = [0] * V.dim(d)
+                            for i, c in acc.items():
+                                w[i] = c
+                            if any(w):
+                                try_add(d, den, w)
         trace.append({d: lattices[d].den for d in sorted(lattices)})
         changed = {d for d, lat in lattices.items() if start.get(d) != lat}
         if not changed:
@@ -340,25 +363,27 @@ def dual_form(J: TruncatedForm) -> DualFamily:
     Distinct degrees pair to zero, so the degreewise restriction is the
     whole story.  For degrees where J has lower rank than the graded piece,
     the dual is taken inside the rational span of J's piece and the degree
-    is flagged.  The family is cached on J.
+    is flagged.  Each degree's dual is cached on J.
     """
-    if J._dual_cache is not None:
-        return J._dual_cache
     V = J.host
-    duals = {}
-    low = []
-    for d in J.degrees():
-        L = J.lattice(d)
-        if L.rank < V.dim(d):
-            low.append(d)
-        fm = QMatrix.from_rows(V.form_matrix(d)) if V.dim(d) else QMatrix(0, 0, [])
+    return DualFamily({d: _degree_dual(J, d) for d in J.degrees()},
+                      tuple(d for d in J.degrees() if J.rank(d) < V.dim(d)))
+
+
+def _degree_dual(J: TruncatedForm, d: int) -> ZLattice:
+    """Dual of J's degree-d lattice under the invariant form, cached on J."""
+    hit = J._duals.get(d)
+    if hit is None:
+        V = J.host
+        fm = QMatrix.from_rows(V.form_matrix(d)) if V.dim(d) \
+            else QMatrix(0, 0, [])
         try:
-            duals[d] = dual_lattice(L, fm)
+            hit = dual_lattice(J.lattice(d), fm)
         except DegenerateFormError:
             raise DegenerateFormError(
                 f"invariant form degenerate on the degree-{d} piece")
-    J._dual_cache = DualFamily(duals, tuple(low))
-    return J._dual_cache
+        J._duals[d] = hit
+    return hit
 
 
 def dual_stability_check(J: TruncatedForm, n: int,
@@ -492,8 +517,7 @@ def rescale_to_integral(J: TruncatedForm, t: int,
         L = J.lattice(s)
         if L.rank == 0:
             continue
-        fm = QMatrix.from_rows(V.form_matrix(s))
-        dual = dual_lattice(L, fm)
+        dual = _degree_dual(J, s)
         inter = lattice_intersect(L, dual)
         if inter.rank != L.rank:
             raise DegenerateFormError(
@@ -952,12 +976,12 @@ def form_from_manifest(data: dict, iter_bound: int = 50):
     """Rebuild (host, form) from a manifest's lattice/cutoff/generators."""
     from voaforms.voa import EvenLattice
     lattice = EvenLattice.from_json(data["lattice"])
-    V = TruncatedVOA(lattice, int(data["cutoff"]))
+    V = TruncatedVOA(lattice, as_integer(data["cutoff"], "cutoff"))
     gens = [V.parse_element(s) for s in data["generators"]]
     gen_degree = data.get("gen_degree")
     J = generate_form(V, gens,
                       gen_degree=None if gen_degree is None
-                      else int(gen_degree),
+                      else as_integer(gen_degree, "gen_degree"),
                       iter_bound=iter_bound)
     return V, J
 

@@ -7,6 +7,12 @@ the vertex products a_k b exactly over Q, carries the invariant bilinear form
 normalized by <vac, vac> = 1, and exposes the Virasoro operators built from
 the canonical quadratic element.
 
+The product kernel runs on ints: ``pair_products`` gives integer tables
+over (N!)^2 at cutoff N.  A creation-series coefficient with j_n modes of
+order n has denominator prod n^j_n j_n!, which divides (sum n j_n)! and so
+N!; the annihilation series divides by j! for j <= N modes; the rest is
+integral.  Every division is a checked divmod that raises on a remainder.
+
 Conventions.  A monomial is a multiset of modes gamma_i(-n) (n >= 1, i a
 basis index) applied to the ground state e^alpha; its degree is the sum of
 the n plus half the norm of alpha.  Products are computed by expanding the
@@ -27,10 +33,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from voaforms.exact import QMatrix, format_rational, parse_rational
+from voaforms.exact import QMatrix, as_integer, format_rational, parse_rational
 
 
 class CutoffExceededError(ValueError):
@@ -106,7 +112,7 @@ class EvenLattice:
     __slots__ = ("rank", "gram", "_sq", "_shorts")
 
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
-        g = tuple(tuple(int(x) for x in row) for row in gram)
+        g = tuple(tuple(as_integer(x, "gram") for x in row) for row in gram)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("gram matrix is not square")
@@ -218,6 +224,14 @@ def _remove_one(modes: tuple, pair: tuple) -> tuple:
     return modes[:idx] + modes[idx + 1:]
 
 
+def _exact_div(a: int, b: int) -> int:
+    """a / b for integers that must divide; a remainder is a kernel defect."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"product kernel: {a} is not divisible by {b}")
+    return q
+
+
 class TruncatedVOA:
     """Lattice VOA truncated at a maximum degree, with exact products."""
 
@@ -226,6 +240,9 @@ class TruncatedVOA:
             raise ValueError("cutoff must be nonnegative")
         self.lattice = lattice
         self.cutoff = cutoff
+        # pair_products numerators are over product_den = (N!)^2
+        self._fac = factorial(cutoff)
+        self.product_den = self._fac * self._fac
         self._bases = {}
         self._base_index = {}
         self._degree = {}
@@ -334,17 +351,20 @@ class TruncatedVOA:
     # -- exponential series ---------------------------------------------------
 
     def _eminus_series(self, alpha: tuple) -> list:
-        """Creation exponential by output degree: [degree] -> {modes: coeff}."""
+        """Creation exponential by output degree: [degree] -> {modes: num}.
+
+        Numerators are over N!.
+        """
         hit = self._eminus.get(alpha)
         if hit is not None:
             return hit
         nmax = self.cutoff
         series = [dict() for _ in range(nmax + 1)]
-        series[0][()] = Fraction(1)
+        series[0][()] = self._fac
         rank = self.lattice.rank
         for n in range(1, nmax + 1):
             jmax = nmax // n
-            pows = [{(): Fraction(1)}]
+            pows = [{(): 1}]
             for _ in range(jmax):
                 prev = pows[-1]
                 cur = {}
@@ -354,7 +374,7 @@ class TruncatedVOA:
                         if not ai:
                             continue
                         key = tuple(sorted(ms + ((n, i),)))
-                        cur[key] = cur.get(key, Fraction(0)) + c * ai
+                        cur[key] = cur.get(key, 0) + c * ai
                 pows.append(cur)
             nxt = [dict() for _ in range(nmax + 1)]
             for d in range(nmax + 1):
@@ -363,22 +383,26 @@ class TruncatedVOA:
                 for j in range(0, (nmax - d) // n + 1):
                     if not pows[j]:
                         continue
-                    fac = Fraction(1, n ** j * factorial(j))
+                    fac = n ** j * factorial(j)
                     for ms, c in series[d].items():
                         for ms2, c2 in pows[j].items():
                             key = tuple(sorted(ms + ms2))
                             tgt = nxt[d + n * j]
-                            tgt[key] = tgt.get(key, Fraction(0)) + c * c2 * fac
+                            tgt[key] = tgt.get(key, 0) + _exact_div(c * c2,
+                                                                    fac)
             series = nxt
         series = [{k: v for k, v in layer.items() if v} for layer in series]
         self._eminus[alpha] = series
         return series
 
     def _eplus_expand(self, alpha: tuple, modes: tuple) -> list:
-        """Annihilation exponential applied to a multiset: [(zpow, modes, c)]."""
+        """Annihilation exponential on a multiset: [(zpow, modes, num)].
+
+        Numerators are over N!.
+        """
         avals = [self.lattice.inner_basis(alpha, j)
                  for j in range(self.lattice.rank)]
-        out = {(0, modes): Fraction(1)}
+        out = {(0, modes): self._fac}
         layer = dict(out)
         j = 0
         while layer:
@@ -396,19 +420,21 @@ class TruncatedVOA:
                         continue
                     mult = ms.count(pair)
                     key = (zp - m_, _remove_one(ms, pair))
-                    nxt[key] = nxt.get(key, Fraction(0)) - c * a * mult
-            layer = {k: v / j for k, v in nxt.items() if v}
+                    nxt[key] = nxt.get(key, 0) - c * a * mult
+            layer = {k: _exact_div(v, j) for k, v in nxt.items() if v}
             for k, v in layer.items():
-                out[k] = out.get(k, Fraction(0)) + v
+                out[k] = out.get(k, 0) + v
         return [(zp, ms, c) for (zp, ms), c in out.items() if c]
 
     # -- vertex products ------------------------------------------------------
 
     def pair_products(self, ma: FockMonomial, mb: FockMonomial) -> dict:
-        """All products ma_k mb landing within the cutoff: {k: {mono: coeff}}.
+        """All products ma_k mb landing within the cutoff: {k: {index: num}}.
 
-        Much of the library reduces to this kernel; results are memoized per
-        ordered monomial pair.
+        num / product_den is the coefficient of graded_basis(target)[index]
+        in ma_k mb, for target = deg(ma) + deg(mb) - k - 1.  Much of the
+        library reduces to this kernel; results are memoized per ordered
+        monomial pair.
         """
         key = (ma, mb)
         hit = self._prod.get(key)
@@ -416,7 +442,6 @@ class TruncatedVOA:
             return hit
         lat = self.lattice
         gram = lat.gram
-        rank = lat.rank
         alpha, beta = ma.tail, mb.tail
         tpair = lat.inner(alpha, beta)
         sign = self.epsilon(alpha, beta)
@@ -426,8 +451,9 @@ class TruncatedVOA:
         if qtau2 // 2 <= self.cutoff:
             qtau = qtau2 // 2
             budget = self.cutoff - qtau
-            # annihilation exponential on the right modes
-            stage = [(zp, ms, (), c)
+            # annihilation exponential on the right modes; cdeg is the
+            # degree of the created modes
+            stage = [(zp, ms, (), 0, c)
                      for (zp, ms, c) in self._eplus_expand(alpha, mb.modes)]
             # derivative factor per left mode: creation, zero-mode, or
             # annihilation part, normal ordering keeps created modes immune
@@ -436,9 +462,9 @@ class TruncatedVOA:
                 sgn = -1 if (n_ - 1) % 2 else 1
                 z0 = lat.inner_basis(beta, i_)
                 nxt = []
-                for zp, ms, created, c in stage:
+                for zp, ms, created, cdeg, c in stage:
                     if z0:
-                        nxt.append((zp - n_, ms, created, c * sgn * z0))
+                        nxt.append((zp - n_, ms, created, cdeg, c * sgn * z0))
                     seen = set()
                     for pair in ms:
                         if pair in seen:
@@ -451,30 +477,34 @@ class TruncatedVOA:
                         coeff = sgn * comb(m2 + n_ - 1, n_ - 1) * m2 * gij \
                             * ms.count(pair)
                         nxt.append((zp - m2 - n_, _remove_one(ms, pair),
-                                    created, c * coeff))
-                    room = budget - sum(p for p, _ in created)
-                    for p in range(n_, room + 1):
+                                    created, cdeg, c * coeff))
+                    for p in range(n_, budget - cdeg + 1):
                         cf = comb(p - 1, n_ - 1)
                         nxt.append((zp + p - n_, ms, created + ((p, i_),),
-                                    c * cf))
+                                    cdeg + p, c * cf))
                 stage = nxt
             # creation exponential and assembly
             eser = self._eminus_series(alpha)
-            for zp, ms, created, c in stage:
-                mdeg = sum(n for n, _ in ms) + sum(p for p, _ in created)
+            indices = self._base_index
+            for zp, ms, created, cdeg, c in stage:
+                mdeg = sum(n for n, _ in ms) + cdeg
                 if mdeg > budget:
                     continue
                 head = ms + created
+                c *= sign
                 for edeg in range(0, budget - mdeg + 1):
+                    index = indices.get(qtau + mdeg + edeg)
+                    if index is None:
+                        index = self.basis_index(qtau + mdeg + edeg)
+                    bucket = out.setdefault(-(tpair + zp + edeg) - 1, {})
                     for emodes, ec in eser[edeg].items():
-                        mono = FockMonomial(tuple(sorted(head + emodes)), tau)
-                        k = -(tpair + zp + edeg) - 1
-                        bucket = out.setdefault(k, {})
-                        val = bucket.get(mono, Fraction(0)) + sign * c * ec
+                        i = index[FockMonomial(tuple(sorted(head + emodes)),
+                                               tau)]
+                        val = bucket.get(i, 0) + c * ec
                         if val:
-                            bucket[mono] = val
-                        elif mono in bucket:
-                            del bucket[mono]
+                            bucket[i] = val
+                        elif i in bucket:
+                            del bucket[i]
         out = {k: b for k, b in out.items() if b}
         self._prod[key] = out
         return out
@@ -484,10 +514,14 @@ class TruncatedVOA:
         """The product a_k b; degrees above the cutoff error or drop."""
         if truncate not in ("error", "drop"):
             raise ValueError("truncate must be 'error' or 'drop'")
-        out: dict = {}
+        # integer numerators over aden * bden * product_den, per target
+        aden = lcm(1, *(c.denominator for c in a.terms.values()))
+        bden = lcm(1, *(c.denominator for c in b.terms.values()))
+        acc: dict = {}
         truncated = False
         for m1, c1 in a.terms.items():
             d1 = self.mono_degree(m1)
+            x = c1.numerator * (aden // c1.denominator)
             for m2, c2 in b.terms.items():
                 d2 = self.mono_degree(m2)
                 target = d1 + d2 - k - 1
@@ -503,9 +537,17 @@ class TruncatedVOA:
                 bucket = self.pair_products(m1, m2).get(k)
                 if not bucket:
                     continue
-                cc = c1 * c2
-                for mono, c in bucket.items():
-                    out[mono] = out.get(mono, Fraction(0)) + cc * c
+                xy = x * c2.numerator * (bden // c2.denominator)
+                row = acc.setdefault(target, {})
+                for i, c in bucket.items():
+                    row[i] = row.get(i, 0) + xy * c
+        den = aden * bden * self.product_den
+        out = {}
+        for target, row in acc.items():
+            basis = self._bases[target]
+            for i, c in row.items():
+                if c:
+                    out[basis[i]] = Fraction(c, den)
         return GradedVector(out, self.cutoff, truncated)
 
     # -- bilinear form ---------------------------------------------------------
@@ -695,6 +737,8 @@ class TruncatedVOA:
         return " + ".join(parts)
 
     def parse_element(self, text: str) -> GradedVector:
+        if not isinstance(text, str):
+            raise ElementParseError(f"element literal {text!r} is not text")
         text = text.strip()
         if text == "0":
             return GradedVector({}, self.cutoff)
@@ -706,7 +750,7 @@ class TruncatedVOA:
             pieces = [p.strip() for p in raw.split("*")]
             try:
                 coeff = parse_rational(pieces[0])
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ElementParseError(
                     f"bad coefficient {pieces[0]!r}") from None
             modes = []

@@ -264,6 +264,7 @@ def _without(entry, key):
 
 GOLDEN_DEGREES = json.loads((GOLDEN / "build.json").read_text())["degrees"]
 BAD_LITERAL = ["1 * e(0)", "1 * e(("]
+ZERO_DENOMINATOR = ["1 * e(0)", "1/0 * e(1)"]
 NOT_UTF8 = b"\xff\xfe{}"
 
 MALFORMED = {
@@ -342,6 +343,40 @@ MALFORMED = {
     "dual-stability-order-negative": (lambda t: [
         "dual", "--manifest", str(GOLDEN / "build.json"),
         "--stability-order", "-2"], "stability-order"),
+    "build-generator-zero-denominator": (lambda t: [
+        "build", "--lattice", _lattice(t),
+        "--generators", _write(t, "g.txt", "1 * e(1)\n1/0 * e(-1)\n"),
+        "--max-degree", "2"], "generators: line 2"),
+    **{f"{command}-zero-denominator": (lambda t, command=command: [
+        command, "--manifest", _manifest(t, generators=ZERO_DENOMINATOR)]
+        + {"tel": ["--action", _action(t)],
+           "nli-transfer": ["--other", str(GOLDEN / "build.json")]}.get(
+            command, []), "manifest")
+       for command in ("verify", "rescale", "dual", "tel", "nli-transfer")},
+    "nli-other-zero-denominator": (lambda t: [
+        "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
+        "--other", _manifest(t, generators=ZERO_DENOMINATOR)], "other"),
+    "build-gram-fraction": (lambda t: [
+        "build", "--lattice", _write(t, "l.json", '{"gram": [[2.5]]}'),
+        "--max-degree", "2"], "lattice: gram"),
+    "build-gram-infinite": (lambda t: [
+        "build", "--lattice", _write(t, "l.json", '{"gram": [[Infinity]]}'),
+        "--max-degree", "2"], "lattice: gram"),
+    "verify-gram-fraction": (lambda t: [
+        "verify", "--manifest", _manifest(
+            t, lattice={"rank": 1, "gram": [[2.5]]})], "manifest: gram"),
+    "verify-cutoff-fraction": (lambda t: [
+        "verify", "--manifest", _manifest(t, cutoff=3.5)],
+        "manifest: cutoff"),
+    "verify-cutoff-boolean": (lambda t: [
+        "verify", "--manifest", _manifest(t, cutoff=True)],
+        "manifest: cutoff"),
+    "verify-generator-number": (lambda t: [
+        "verify", "--manifest", _manifest(t, generators=["1 * e(0)", 5])],
+        "manifest"),
+    "verify-gen-degree-fraction": (lambda t: [
+        "verify", "--manifest", _manifest(t, gen_degree=1.5)],
+        "manifest: gen_degree"),
     **{f"{command}-iter-bound-0": (lambda t, command=command: [
         command, "--manifest", str(GOLDEN / "build.json"),
         "--iter-bound", "0"]

@@ -17,7 +17,6 @@ from voaforms.forms import (
 )
 from voaforms.voa import (
     EvenLattice,
-    GradedVector,
     NotHomogeneousError,
     TruncatedVOA,
 )
@@ -133,8 +132,9 @@ def _item_saturation(V, generators, iter_bound):
             if du == 0:
                 continue
             for j in range(prev if i < prev else 0, cur):
-                for terms in fm._products_all_k(V, u, items[j][1]).values():
-                    try_add(GradedVector(terms, V.cutoff))
+                dw, w = items[j]
+                for k in range(du + dw - 1 - V.cutoff, du + dw):
+                    try_add(V.vertex_product(u, k, w))
         trace.append({d: lattices[d].den for d in sorted(lattices)})
         if len(items) == cur:
             return lattices, trace, True

@@ -14,6 +14,7 @@ from voaforms.voa import (
     TruncatedVOA,
 )
 
+import fraction_kernel
 from oracles import graded_dims_by_series
 
 
@@ -111,8 +112,10 @@ class TestVertexProduct:
             for q in range(4):
                 for ma in a1.graded_basis(p):
                     for mb in a1.graded_basis(q):
-                        for k, bucket in a1.pair_products(ma, mb).items():
-                            for m_ in bucket:
+                        u = mono(a1, ma.modes, ma.tail)
+                        v = mono(a1, mb.modes, mb.tail)
+                        for k in range(p + q - 1 - a1.cutoff, p + q):
+                            for m_ in a1.vertex_product(u, k, v).terms:
                                 assert a1.mono_degree(m_) == p + q - k - 1
 
     def test_bilinearity(self, a1):
@@ -167,6 +170,182 @@ class TestVacuumIdentities:
                     assert a2.vertex_product(gv, k, vac) == \
                         cur.scale(F(1, factorial(n)))
                     k -= 1
+
+
+def _gbinom(n, i):
+    """Binomial coefficient C(n, i) for any integer n and i >= 0."""
+    num = 1
+    for t in range(i):
+        num *= n - t
+    return num // factorial(i)
+
+
+def _sign(n):
+    """(-1)^n for any integer n."""
+    return -1 if n % 2 else 1
+
+
+def _basis_vectors(V):
+    return [(d, m, V.monomial_vector(m.modes, m.tail))
+            for d in range(V.cutoff + 1) for m in V.graded_basis(d)]
+
+
+def _accumulate(out, vec, coeff):
+    for m_, c in vec.terms.items():
+        out[m_] = out.get(m_, 0) + coeff * c
+
+
+def borcherds_failures(V):
+    """Instances where the Borcherds identity fails, over the basis.
+
+    For monomials a, b, c with deg a + deg b + deg c <= cutoff, checks
+        sum_i C(p,i) (a_{r+i} b)_{p+q-i} c
+          = sum_i (-1)^i C(r,i) [a_{p+r-i} (b_{q+i} c)
+                                 - (-1)^r b_{q+r-i} (a_{p+i} c)]
+    for every (p, q, r) whose intermediates a_r b, b_q c, a_p c and whose
+    result all have degree <= cutoff (Borcherds 1986; Frenkel-Lepowsky-
+    Meurman 1988).  The degrees of the intermediates only fall as i grows,
+    so every product evaluated is representable.  Instances whose result
+    tail is too long for the result degree are zero term by term and are
+    skipped.  Only vertex_product is used.  Returns (failures, instances).
+    """
+    N = V.cutoff
+    basis = _basis_vectors(V)
+    pair = {}
+
+    def prod2(ia, k, ib):
+        key = (ia, k, ib)
+        hit = pair.get(key)
+        if hit is None:
+            hit = pair[key] = V.vertex_product(basis[ia][2], k, basis[ib][2])
+        return hit
+
+    failures, instances = [], 0
+    for ia, (da, ma, a) in enumerate(basis):
+        for ib, (db, mb, b) in enumerate(basis):
+            for ic, (dc, mc, c) in enumerate(basis):
+                s = da + db + dc
+                if s > N:
+                    continue
+                tau = [x + y + z for x, y, z in zip(ma.tail, mb.tail, mc.tail)]
+                memo = {}
+
+                def outer(x, k, y, key):
+                    hit = memo.get(key)
+                    if hit is None:
+                        hit = memo[key] = V.vertex_product(x, k, y)
+                    return hit
+
+                for t in range(V.lattice.norm(tau) // 2, N + 1):
+                    # degrees P, Q, R of a_p c, b_q c, a_r b sum to t + s - 1
+                    lo = t + s - 1 - 2 * N
+                    for R in range(lo, N + 1):
+                        for Q in range(lo, N + 1):
+                            P = t + s - 1 - R - Q
+                            if P > N:
+                                continue
+                            p, q, r = da + dc - 1 - P, db + dc - 1 - Q, \
+                                da + db - 1 - R
+                            diff = {}
+                            for i in range(R + 1):
+                                co = _gbinom(p, i)
+                                if co:
+                                    _accumulate(diff, outer(
+                                        prod2(ia, r + i, ib), p + q - i, c,
+                                        (0, r + i, p + q - i)), co)
+                            for i in range(Q + 1):
+                                co = _sign(i) * _gbinom(r, i)
+                                if co:
+                                    _accumulate(diff, outer(
+                                        a, p + r - i, prod2(ib, q + i, ic),
+                                        (1, p + r - i, q + i)), -co)
+                            for i in range(P + 1):
+                                co = _sign(i + r) * _gbinom(r, i)
+                                if co:
+                                    _accumulate(diff, outer(
+                                        b, q + r - i, prod2(ia, p + i, ic),
+                                        (2, q + r - i, p + i)), co)
+                            instances += 1
+                            if any(diff.values()):
+                                failures.append((ia, ib, ic, p, q, r))
+    return failures, instances
+
+
+def skew_symmetry_failures(V):
+    """Pairs where u_k v != sum_j (-1)^(k+j+1) (v_{k+j} u)_{-j-1} vac.
+
+    Runs over every ordered pair of basis monomials and every k with
+    u_k v of degree 0..cutoff; each (v_{k+j} u)_{-j-1} vac has the degree
+    of u_k v, so everything stays representable.  Returns (failures,
+    instances).
+    """
+    N = V.cutoff
+    vac = V.vacuum()
+    basis = _basis_vectors(V)
+    failures, instances = [], 0
+    for du, _, u in basis:
+        for dv, _, v in basis:
+            for k in range(du + dv - 1 - N, du + dv):
+                diff = {}
+                _accumulate(diff, V.vertex_product(u, k, v), 1)
+                for j in range(du + dv - k):
+                    _accumulate(diff, V.vertex_product(
+                        V.vertex_product(v, k + j, u), -j - 1, vac),
+                        _sign(k + j))
+                instances += 1
+                if any(diff.values()):
+                    failures.append((u, v, k))
+    return failures, instances
+
+
+@pytest.fixture(scope="module")
+def a1n4():
+    return TruncatedVOA(EvenLattice([[2]]), 4)
+
+
+@pytest.fixture(scope="module")
+def a2n3():
+    return TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3)
+
+
+class TestKernelOracles:
+    """Identities every vertex algebra satisfies, checked on the kernel."""
+
+    def test_borcherds_identity_a1(self, a1n4):
+        failures, instances = borcherds_failures(a1n4)
+        assert instances > 50000
+        assert failures == []
+
+    def test_borcherds_identity_a2(self, a2n3):
+        failures, instances = borcherds_failures(a2n3)
+        assert instances > 50000
+        assert failures == []
+
+    def test_skew_symmetry(self, a1n4, a2n3):
+        for V in (a1n4, a2n3):
+            failures, instances = skew_symmetry_failures(V)
+            assert instances > 1000
+            assert failures == []
+
+
+class TestIntegerKernelMatchesFractions:
+    """Integer tables over (N!)^2 equal the Fraction kernel's products."""
+
+    @pytest.mark.parametrize("gram, cutoff", [([[2]], 5),
+                                              ([[2, 1], [1, 2]], 3)])
+    def test_every_monomial_pair(self, gram, cutoff):
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        assert V.product_den == factorial(cutoff) ** 2
+        monos = [(d, m) for d in range(cutoff + 1)
+                 for m in V.graded_basis(d)]
+        for da, ma in monos:
+            for db, mb in monos:
+                got = {}
+                for k, bucket in V.pair_products(ma, mb).items():
+                    basis = V.graded_basis(da + db - k - 1)
+                    got[k] = {basis[i]: F(c, V.product_den)
+                              for i, c in bucket.items()}
+                assert got == fraction_kernel.pair_products(V, ma, mb)
 
 
 class TestBilinearForm:
