@@ -40,7 +40,8 @@ class InputError(Exception):
     """Malformed input; the message names the offending field."""
 
 
-def _thread_cap() -> int:
+def _check_threads() -> None:
+    """VOAFORMS_THREADS must be a positive integer; it selects nothing."""
     raw = os.environ.get("VOAFORMS_THREADS", "1")
     try:
         n = int(raw)
@@ -48,7 +49,6 @@ def _thread_cap() -> int:
         raise InputError(f"VOAFORMS_THREADS: not an integer: {raw!r}")
     if n < 1:
         raise InputError("VOAFORMS_THREADS: must be >= 1")
-    return n
 
 
 @contextmanager
@@ -92,18 +92,8 @@ def _load_form(path: str, iter_bound: int):
 
 def _load_lattice(path: str) -> EvenLattice:
     data = _load_json(path, "lattice")
-    if "gram" not in data:
-        raise InputError("lattice: missing field 'gram'")
-    try:
-        lat = EvenLattice(data["gram"])
-    except (TypeError, ValueError) as e:
-        raise InputError(f"lattice: {e}")
-    rank = data.get("rank", lat.rank)
-    if type(rank) is not int:
-        raise InputError("lattice: field 'rank' is not an integer")
-    if rank != lat.rank:
-        raise InputError("lattice: field 'rank' disagrees with 'gram'")
-    return lat
+    with _input_errors("lattice"):
+        return EvenLattice.from_json(data)
 
 
 def _load_generators(path: str, V: TruncatedVOA) -> list:
@@ -305,8 +295,8 @@ def _suite_invariance(V, J, manifest, seed=0):
         picks = []
         for _ in range(3):
             d = rng.choice(degs)
-            rows = J.lattice(d).basis_rows()
-            picks.append(V.vector_from_coords(d, rows[rng.randrange(len(rows))]))
+            row = J.lattice(d).basis_row(rng.randrange(J.rank(d)))
+            picks.append(V.vector_from_coords(d, row))
         if not V.invariance_identity_check(*picks):
             return False, "identity failed on a sampled triple"
     return True, None
@@ -400,7 +390,6 @@ def _render_rescale_text(p: dict) -> str:
 
 
 def cmd_dual(args) -> int:
-    _thread_cap()  # validated, though every subcommand runs on one thread
     _, V, J = _load_form(args.manifest, args.iter_bound)
     duals = fm.dual_form(J)
     table = {str(d): {"rank": duals.lattice(d).rank,
@@ -494,7 +483,7 @@ def cmd_nli_transfer(args) -> int:
         if man_a["lattice"] != man_b["lattice"] or \
                 man_a["cutoff"] != man_b["cutoff"]:
             raise InputError("other: host lattice or cutoff differs")
-        gens_b = [V.parse_element(s) for s in man_b["generators"]]
+        gens_b = fm.manifest_generators(V, man_b)
         K = fm.generate_form(V, gens_b, iter_bound=args.iter_bound)
     try:
         mjk, mkj, per = fm.mutual_scale_report(J, K)
@@ -635,6 +624,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _check_counts(args)
+        _check_threads()
         return args.fn(args)
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -479,7 +479,11 @@ class ZLattice:
             [[Fraction(x, self.den) for x in row] for row in self.rows])
 
     def basis_rows(self) -> list:
-        return [[Fraction(x, self.den) for x in row] for row in self.rows]
+        return [self.basis_row(i) for i in range(len(self.rows))]
+
+    def basis_row(self, i: int) -> list:
+        """Row i of the canonical basis, as Fractions."""
+        return [Fraction(x, self.den) for x in self.rows[i]]
 
     def scale(self, c) -> "ZLattice":
         c = Fraction(c)

@@ -44,6 +44,7 @@ from voaforms.latgroup import (
     tel_exponent_check,
 )
 from voaforms.voa import (
+    EvenLattice,
     GradedVector,
     NotHomogeneousError,
     TruncatedVOA,
@@ -447,8 +448,8 @@ def closure_sample(J: TruncatedForm, samples: int = 200, seed: int = 0):
         kmin = da + db - 1 - V.cutoff
         kmax = da + db - 1
         k = rng.randint(kmin, kmax)
-        u = V.vector_from_coords(da, J.lattice(da).basis_rows()[ia])
-        v = V.vector_from_coords(db, J.lattice(db).basis_rows()[ib])
+        u = V.vector_from_coords(da, J.lattice(da).basis_row(ia))
+        v = V.vector_from_coords(db, J.lattice(db).basis_row(ib))
         prod = V.vertex_product(u, k, v)
         if not J.contains(prod):
             return False, (da, ia, db, ib, k)
@@ -974,16 +975,23 @@ def build_manifest(J: TruncatedForm,
 
 def form_from_manifest(data: dict, iter_bound: int = 50):
     """Rebuild (host, form) from a manifest's lattice/cutoff/generators."""
-    from voaforms.voa import EvenLattice
     lattice = EvenLattice.from_json(data["lattice"])
     V = TruncatedVOA(lattice, as_integer(data["cutoff"], "cutoff"))
-    gens = [V.parse_element(s) for s in data["generators"]]
+    gens = manifest_generators(V, data)
     gen_degree = data.get("gen_degree")
     J = generate_form(V, gens,
                       gen_degree=None if gen_degree is None
                       else as_integer(gen_degree, "gen_degree"),
                       iter_bound=iter_bound)
     return V, J
+
+
+def manifest_generators(V: TruncatedVOA, data: dict) -> list:
+    """The manifest's list of generator literals, parsed on V."""
+    gens = data["generators"]
+    if not isinstance(gens, list):
+        raise ValueError("generators: not a list")
+    return [V.parse_element(s) for s in gens]
 
 
 def _span_coords(lat: ZLattice, vector) -> list:

@@ -8,10 +8,12 @@ normalized by <vac, vac> = 1, and exposes the Virasoro operators built from
 the canonical quadratic element.
 
 The product kernel runs on ints: ``pair_products`` gives integer tables
-over (N!)^2 at cutoff N.  A creation-series coefficient with j_n modes of
-order n has denominator prod n^j_n j_n!, which divides (sum n j_n)! and so
-N!; the annihilation series divides by j! for j <= N modes; the rest is
-integral.  Every division is a checked divmod that raises on a remainder.
+over (N!)^2 at cutoff N.  Both exponential series factor over commuting
+modes into closed forms.  In the creation series prod gamma_i(-n)^j has
+coefficient prod alpha_i^j / (n^j j!), whose denominator divides N! (a
+checked divmod that raises on a remainder); removing r of c equal modes
+gamma_i(-m) in the annihilation series has the integer coefficient
+C(c, r) (-<alpha, gamma_i>)^r.  The invariant form is integral.
 
 Conventions.  A monomial is a multiset of modes gamma_i(-n) (n >= 1, i a
 basis index) applied to the ground state e^alpha; its degree is the sum of
@@ -32,7 +34,9 @@ reader sees exactly what a sequential run would produce).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -199,7 +203,18 @@ class EvenLattice:
 
     @classmethod
     def from_json(cls, data: dict) -> "EvenLattice":
-        return cls(data["gram"])
+        """The lattice of {"gram": ..., "rank": ...}; "rank" is optional."""
+        if not isinstance(data, dict):
+            raise ValueError("lattice is not an object")
+        if "gram" not in data:
+            raise ValueError("missing field 'gram'")
+        lat = cls(data["gram"])
+        rank = data.get("rank", lat.rank)
+        if type(rank) is not int:
+            raise ValueError("field 'rank' is not an integer")
+        if rank != lat.rank:
+            raise ValueError("field 'rank' disagrees with 'gram'")
+        return lat
 
 
 def _mode_multisets(total: int, rank: int) -> list:
@@ -353,78 +368,41 @@ class TruncatedVOA:
     def _eminus_series(self, alpha: tuple) -> list:
         """Creation exponential by output degree: [degree] -> {modes: num}.
 
-        Numerators are over N!.
+        The coefficient of prod gamma_i(-n)^j is prod alpha_i^j / (n^j j!);
+        numerators are over N!.
         """
         hit = self._eminus.get(alpha)
         if hit is not None:
             return hit
-        nmax = self.cutoff
-        series = [dict() for _ in range(nmax + 1)]
-        series[0][()] = self._fac
-        rank = self.lattice.rank
-        for n in range(1, nmax + 1):
-            jmax = nmax // n
-            pows = [{(): 1}]
-            for _ in range(jmax):
-                prev = pows[-1]
-                cur = {}
-                for ms, c in prev.items():
-                    for i in range(rank):
-                        ai = alpha[i]
-                        if not ai:
-                            continue
-                        key = tuple(sorted(ms + ((n, i),)))
-                        cur[key] = cur.get(key, 0) + c * ai
-                pows.append(cur)
-            nxt = [dict() for _ in range(nmax + 1)]
-            for d in range(nmax + 1):
-                if not series[d]:
-                    continue
-                for j in range(0, (nmax - d) // n + 1):
-                    if not pows[j]:
-                        continue
-                    fac = n ** j * factorial(j)
-                    for ms, c in series[d].items():
-                        for ms2, c2 in pows[j].items():
-                            key = tuple(sorted(ms + ms2))
-                            tgt = nxt[d + n * j]
-                            tgt[key] = tgt.get(key, 0) + _exact_div(c * c2,
-                                                                    fac)
-            series = nxt
-        series = [{k: v for k, v in layer.items() if v} for layer in series]
+        series = []
+        for d in range(self.cutoff + 1):
+            layer = {}
+            for modes in _mode_multisets(d, self.lattice.rank):
+                num, den = 1, 1
+                for (n, i), j in Counter(modes).items():
+                    num *= alpha[i] ** j
+                    den *= n ** j * factorial(j)
+                if num:
+                    layer[modes] = _exact_div(self._fac, den) * num
+            series.append(layer)
         self._eminus[alpha] = series
         return series
 
     def _eplus_expand(self, alpha: tuple, modes: tuple) -> list:
         """Annihilation exponential on a multiset: [(zpow, modes, num)].
 
-        Numerators are over N!.
+        Removing r of the c copies of gamma_i(-m) has coefficient
+        C(c, r) (-<alpha, gamma_i>)^r and z-power -m r; numerators are
+        over N!.
         """
-        avals = [self.lattice.inner_basis(alpha, j)
-                 for j in range(self.lattice.rank)]
-        out = {(0, modes): self._fac}
-        layer = dict(out)
-        j = 0
-        while layer:
-            j += 1
-            nxt = {}
-            for (zp, ms), c in layer.items():
-                seen = set()
-                for pair in ms:
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    m_, i_ = pair
-                    a = avals[i_]
-                    if not a:
-                        continue
-                    mult = ms.count(pair)
-                    key = (zp - m_, _remove_one(ms, pair))
-                    nxt[key] = nxt.get(key, 0) - c * a * mult
-            layer = {k: _exact_div(v, j) for k, v in nxt.items() if v}
-            for k, v in layer.items():
-                out[k] = out.get(k, 0) + v
-        return [(zp, ms, c) for (zp, ms), c in out.items() if c]
+        out = [(0, (), self._fac)]
+        for (m, i), c in Counter(modes).items():
+            a = -self.lattice.inner_basis(alpha, i)
+            picks = [(-m * r, ((m, i),) * (c - r), comb(c, r) * a ** r)
+                     for r in range(c + 1 if a else 1)]
+            out = [(zp + dz, ms + kept, x * y)
+                   for zp, ms, x in out for dz, kept, y in picks]
+        return out
 
     # -- vertex products ------------------------------------------------------
 
@@ -552,40 +530,31 @@ class TruncatedVOA:
 
     # -- bilinear form ---------------------------------------------------------
 
-    def _heis_pair(self, ma: tuple, mb: tuple) -> Fraction:
+    def _heis_pair(self, ma: tuple, mb: tuple) -> int:
         if len(ma) != len(mb):
-            return Fraction(0)
+            return 0
         if not ma:
-            return Fraction(1)
+            return 1
         key = (ma, mb)
         hit = self._heis.get(key)
         if hit is not None:
             return hit
         n_, i_ = ma[0]
-        rest = ma[1:]
-        total = Fraction(0)
-        seen = set()
-        for pair in mb:
-            if pair in seen:
-                continue
-            seen.add(pair)
-            m2, j2 = pair
-            if m2 != n_:
-                continue
+        total = 0
+        for (m2, j2), c in Counter(mb).items():
             g = self.lattice.gram[i_][j2]
-            if not g:
-                continue
-            total += Fraction(-n_ * g * mb.count(pair)) * \
-                self._heis_pair(rest, _remove_one(mb, pair))
+            if m2 == n_ and g:
+                total -= n_ * g * c * self._heis_pair(
+                    ma[1:], _remove_one(mb, (m2, j2)))
         self._heis[key] = total
         return total
 
-    def pair_form(self, ma: FockMonomial, mb: FockMonomial) -> Fraction:
+    def pair_form(self, ma: FockMonomial, mb: FockMonomial) -> int:
         key = (ma, mb)
         hit = self._pairform.get(key)
         if hit is None:
             if any(a + b for a, b in zip(ma.tail, mb.tail)):
-                hit = Fraction(0)
+                hit = 0
             else:
                 neg = tuple(-t for t in ma.tail)
                 s = self.epsilon(ma.tail, neg)
@@ -711,27 +680,18 @@ class TruncatedVOA:
         """Canonical literal for an element; inverse of parse_element."""
         if v.is_zero():
             return "0"
-        keyed = []
-        for mono, coeff in v.terms.items():
-            d = self.mono_degree(mono)
-            keyed.append(((d, self.basis_index(d)[mono]), mono, coeff))
-        keyed.sort(key=lambda x: x[0])
+
+        def position(term):
+            d = self.mono_degree(term[0])
+            return d, self.basis_index(d)[term[0]]
+
         parts = []
-        for _, mono, coeff in keyed:
+        for mono, coeff in sorted(v.terms.items(), key=position):
             factors = [format_rational(coeff)]
-            i = 0
-            modes = mono.modes
-            while i < len(modes):
-                n_, c_ = modes[i]
-                j = i
-                while j < len(modes) and modes[j] == modes[i]:
-                    j += 1
-                exp = j - i
-                fac = f"h({c_ + 1},-{n_})"
-                if exp > 1:
-                    fac += f"^{exp}"
-                factors.append(fac)
-                i = j
+            for (n_, c_), run in groupby(mono.modes):
+                exp = len(list(run))
+                factors.append(f"h({c_ + 1},-{n_})"
+                               + (f"^{exp}" if exp > 1 else ""))
             factors.append("e(" + ",".join(str(t) for t in mono.tail) + ")")
             parts.append(" * ".join(factors))
         return " + ".join(parts)

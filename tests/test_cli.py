@@ -199,10 +199,14 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
         assert out3.read_bytes() == out4.read_bytes()
 
-    def test_thread_env_validated(self, tmp_path, a1_files, monkeypatch):
-        man = build_manifest(tmp_path, a1_files)
+    @pytest.mark.parametrize("argv", [
+        ["dual", "--manifest", str(GOLDEN / "build.json")], ["dihedral2a"]],
+        ids=["dual", "dihedral2a"])
+    def test_thread_env_validated(self, monkeypatch, capsys, argv):
         monkeypatch.setenv("VOAFORMS_THREADS", "zero")
-        assert main(["dual", "--manifest", str(man)]) == 1
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: VOAFORMS_THREADS: "), err
 
 
 class TestGolden:
@@ -374,6 +378,15 @@ MALFORMED = {
     "verify-generator-number": (lambda t: [
         "verify", "--manifest", _manifest(t, generators=["1 * e(0)", 5])],
         "manifest"),
+    "verify-rank-disagrees": (lambda t: [
+        "verify", "--manifest",
+        _manifest(t, lattice={"rank": 5, "gram": [[2]]})], "manifest"),
+    "verify-generators-string": (lambda t: [
+        "verify", "--manifest", _manifest(t, generators="1 * e(1)")],
+        "manifest: generators"),
+    "nli-other-generators-string": (lambda t: [
+        "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
+        "--other", _manifest(t, generators="1 * e(1)")], "other: generators"),
     "verify-gen-degree-fraction": (lambda t: [
         "verify", "--manifest", _manifest(t, gen_degree=1.5)],
         "manifest: gen_degree"),

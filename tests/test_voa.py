@@ -332,7 +332,9 @@ class TestIntegerKernelMatchesFractions:
     """Integer tables over (N!)^2 equal the Fraction kernel's products."""
 
     @pytest.mark.parametrize("gram, cutoff", [([[2]], 5),
-                                              ([[2, 1], [1, 2]], 3)])
+                                              ([[2, 1], [1, 2]], 3),
+                                              ([[4]], 5),
+                                              ([[2, 1], [1, 4]], 3)])
     def test_every_monomial_pair(self, gram, cutoff):
         V = TruncatedVOA(EvenLattice(gram), cutoff)
         assert V.product_den == factorial(cutoff) ** 2
@@ -356,6 +358,11 @@ class TestBilinearForm:
         # forced by the invariance identity: adjoint of gamma(n) is -gamma(-n)
         h = mono(a1, [(1, 0)], [0])
         assert a1.bilinear_form(h, h) == -2
+
+    def test_repeated_mode(self, a1):
+        # both copies of gamma(-1) can pair with either copy: 2! (-2)^2
+        hh = mono(a1, [(1, 0), (1, 0)], [0])
+        assert a1.bilinear_form(hh, hh) == 8
 
     def test_tail_pairing(self, a1):
         eg = mono(a1, [], [1])
