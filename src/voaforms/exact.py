@@ -409,15 +409,18 @@ class ZLattice:
     idempotent, so equality is structural equality of the stored data.
     """
 
-    __slots__ = ("ambient_dim", "den", "rows", "pivots")
+    __slots__ = ("ambient_dim", "den", "rows", "pivots", "nonzeros")
 
     def __init__(self, ambient_dim: int, den: int, rows: tuple) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
-        # first nonzero column of each row (stored rows are never zero)
-        object.__setattr__(self, "pivots", tuple(
-            next(j for j, x in enumerate(row) if x) for row in rows))
+        # (column, value) of each row's nonzero entries, pivot first; the
+        # pivot is the first nonzero column (stored rows are never zero)
+        nonzeros = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                         for row in rows)
+        object.__setattr__(self, "nonzeros", nonzeros)
+        object.__setattr__(self, "pivots", tuple(nz[0][0] for nz in nonzeros))
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("ZLattice is immutable")
@@ -515,16 +518,19 @@ class ZLattice:
         """Integer coordinates of ``w / den``, or None if it is not a member.
 
         ``w`` is a list of ints over this lattice's denominator; it is
-        consumed.
+        consumed.  Rows whose pivot entry of ``w`` is zero get coordinate
+        zero, and a row subtracts only at its stored nonzeros.
         """
-        coords = []
-        for row, j in zip(self.rows, self.pivots):
-            q, r = divmod(w[j], row[j])
-            if r:
-                return None
-            coords.append(q)
-            if q:
-                w[j:] = [a - q * b for a, b in zip(w[j:], row[j:])]
+        coords = [0] * len(self.nonzeros)
+        for t, nz in enumerate(self.nonzeros):
+            j, p = nz[0]
+            if w[j]:
+                q, r = divmod(w[j], p)
+                if r:
+                    return None
+                coords[t] = q
+                for col, x in nz:
+                    w[col] -= q * x
         if any(w):
             return None
         return coords

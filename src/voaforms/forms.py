@@ -44,6 +44,8 @@ from voaforms.latgroup import (
     tel_exponent_check,
 )
 from voaforms.voa import (
+    INDEX_BITS,
+    INDEX_MASK,
     EvenLattice,
     GradedVector,
     NotHomogeneousError,
@@ -152,8 +154,9 @@ def _products_all_k(V: TruncatedVOA, u: list, v: list) -> dict:
                 tgt = out.get(k)
                 if tgt is None:
                     tgt = out[k] = {}
-                for i, c in bucket.items():
-                    tgt[i] = tgt.get(i, 0) + xy * c
+                for p in bucket:
+                    i = p & INDEX_MASK
+                    tgt[i] = tgt.get(i, 0) + xy * (p >> INDEX_BITS)
     return out
 
 

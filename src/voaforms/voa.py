@@ -8,7 +8,12 @@ normalized by <vac, vac> = 1, and exposes the Virasoro operators built from
 the canonical quadratic element.
 
 The product kernel runs on ints: ``pair_products`` gives integer tables
-over (N!)^2 at cutoff N.  Both exponential series factor over commuting
+over (N!)^2 at cutoff N, one per ordered monomial pair, each bucket a
+tuple of packed ints (num << INDEX_BITS) | index.  It merges expansion
+states that coincide (many paths through the left modes reach the same
+z-power and modes), and memoizes the creation exponential per (modes,
+alpha, tau) as basis-index lists, so assembly only adds integer products
+into buckets.  Both exponential series factor over commuting
 modes into closed forms.  In the creation series prod gamma_i(-n)^j has
 coefficient prod alpha_i^j / (n^j j!), whose denominator divides N! (a
 checked divmod that raises on a remainder); removing r of c equal modes
@@ -41,6 +46,11 @@ from math import comb, factorial, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from voaforms.exact import QMatrix, as_integer, format_rational, parse_rational
+
+
+# a pair_products bucket entry is (num << INDEX_BITS) | index
+INDEX_BITS = 20
+INDEX_MASK = (1 << INDEX_BITS) - 1
 
 
 class CutoffExceededError(ValueError):
@@ -263,6 +273,8 @@ class TruncatedVOA:
         self._degree = {}
         self._prod = {}
         self._eminus = {}
+        self._ecreate = {}
+        self._tails = {}
         self._heis = {}
         self._pairform = {}
         self._formmat = {}
@@ -304,6 +316,9 @@ class TruncatedVOA:
             for modes in _mode_multisets(rem, self.lattice.rank):
                 monos.append(FockMonomial(modes, tail))
         basis = tuple(monos)
+        if len(basis) >> INDEX_BITS:
+            raise ValueError(f"degree {degree} has {len(basis)} monomials, "
+                             f"more than pair_products can index")
         self._bases[degree] = basis
         self._base_index[degree] = {m: i for i, m in enumerate(basis)}
         return basis
@@ -396,7 +411,8 @@ class TruncatedVOA:
         over N!.
         """
         out = [(0, (), self._fac)]
-        for (m, i), c in Counter(modes).items():
+        for m, i in dict.fromkeys(modes):
+            c = modes.count((m, i))
             a = -self.lattice.inner_basis(alpha, i)
             picks = [(-m * r, ((m, i),) * (c - r), comb(c, r) * a ** r)
                      for r in range(c + 1 if a else 1)]
@@ -407,12 +423,22 @@ class TruncatedVOA:
     # -- vertex products ------------------------------------------------------
 
     def pair_products(self, ma: FockMonomial, mb: FockMonomial) -> dict:
-        """All products ma_k mb landing within the cutoff: {k: {index: num}}.
+        """All products ma_k mb landing within the cutoff: {k: bucket}.
 
-        num / product_den is the coefficient of graded_basis(target)[index]
-        in ma_k mb, for target = deg(ma) + deg(mb) - k - 1.  Much of the
-        library reduces to this kernel; results are memoized per ordered
-        monomial pair.
+        A bucket is a tuple of ints (num << INDEX_BITS) | index, one per
+        nonzero term, sorted by index: num / product_den is the coefficient
+        of graded_basis(target)[index] in ma_k mb, for target = deg(ma) +
+        deg(mb) - k - 1.  Decode with p >> INDEX_BITS and p & INDEX_MASK.
+        Much of the library reduces to this kernel; results are memoized
+        per ordered monomial pair.
+
+        The left modes act one at a time on states (z-power, surviving
+        right modes, sorted created modes, created degree) held in a dict,
+        so expansion paths that reach one state add their coefficients
+        instead of multiplying the work; a state that cannot end within
+        the degree budget is dropped.  The final states merge again by
+        (z-power, all modes), and each such head picks up the creation
+        exponential from ``_creation_terms`` as (basis index, num) lists.
         """
         key = (ma, mb)
         hit = self._prod.get(key)
@@ -421,70 +447,120 @@ class TruncatedVOA:
         lat = self.lattice
         gram = lat.gram
         alpha, beta = ma.tail, mb.tail
-        tpair = lat.inner(alpha, beta)
-        sign = self.epsilon(alpha, beta)
-        tau = tuple(a + b for a, b in zip(alpha, beta))
+        tails = self._tails.get((alpha, beta))
+        if tails is None:
+            tau = tuple(a + b for a, b in zip(alpha, beta))
+            tails = self._tails[alpha, beta] = (
+                lat.inner(alpha, beta), self.epsilon(alpha, beta), tau,
+                self.cutoff - lat.norm(tau) // 2)
+        tpair, sign, tau, budget = tails
         out: dict = {}
-        qtau2 = lat.norm(tau)
-        if qtau2 // 2 <= self.cutoff:
-            qtau = qtau2 // 2
-            budget = self.cutoff - qtau
-            # annihilation exponential on the right modes; cdeg is the
-            # degree of the created modes
-            stage = [(zp, ms, (), 0, c)
-                     for (zp, ms, c) in self._eplus_expand(alpha, mb.modes)]
+        if budget >= 0:
+            # annihilation exponential on the right modes; a state is
+            # (z-power, surviving right modes, sorted created modes, their
+            # degree) -> coefficient
+            stage = {(zp, ms, (), 0): c
+                     for zp, ms, c in self._eplus_expand(alpha, mb.modes)}
             # derivative factor per left mode: creation, zero-mode, or
             # annihilation part, normal ordering keeps created modes immune
             # to later annihilators
-            for n_, i_ in ma.modes:
+            for t, (n_, i_) in enumerate(ma.modes):
+                # each left mode from here on removes at most one right mode
+                left = len(ma.modes) - t
                 sgn = -1 if (n_ - 1) % 2 else 1
-                z0 = lat.inner_basis(beta, i_)
-                nxt = []
-                for zp, ms, created, cdeg, c in stage:
+                z0 = sgn * lat.inner_basis(beta, i_)
+                # annihilating one copy of (m2, j2): z-power and factor
+                ann = {}
+                for m2, j2 in dict.fromkeys(mb.modes):
+                    if gram[i_][j2]:
+                        ann[m2, j2] = (-m2 - n_, sgn * m2 * gram[i_][j2]
+                                       * comb(m2 + n_ - 1, n_ - 1))
+                # ms -> (least degree it can shrink to, the same if this
+                # mode creates, [(dz, ms without a mode, factor)])
+                moves: dict = {}
+                cre = [(p, comb(p - 1, n_ - 1)) for p in range(n_, budget + 1)]
+                nxt: dict = {}
+                get = nxt.get
+                for state, c in stage.items():
+                    if not c:
+                        continue
+                    zp, ms, created, cdeg = state
+                    info = moves.get(ms)
+                    if info is None:
+                        info = moves[ms] = (
+                            sum(n for n, _ in ms[:max(len(ms) - left, 0)]),
+                            sum(n for n, _ in ms[:max(len(ms) - left + 1, 0)]),
+                            [(ann[pair][0], _remove_one(ms, pair),
+                              ann[pair][1] * ms.count(pair))
+                             for pair in dict.fromkeys(ms) if pair in ann])
+                    low, low_cre, mv = info
+                    if cdeg + low > budget:
+                        continue    # ends above the budget
                     if z0:
-                        nxt.append((zp - n_, ms, created, cdeg, c * sgn * z0))
-                    seen = set()
-                    for pair in ms:
-                        if pair in seen:
-                            continue
-                        seen.add(pair)
-                        m2, j2 = pair
-                        gij = gram[i_][j2]
-                        if not gij:
-                            continue
-                        coeff = sgn * comb(m2 + n_ - 1, n_ - 1) * m2 * gij \
-                            * ms.count(pair)
-                        nxt.append((zp - m2 - n_, _remove_one(ms, pair),
-                                    created, cdeg, c * coeff))
-                    for p in range(n_, budget - cdeg + 1):
-                        cf = comb(p - 1, n_ - 1)
-                        nxt.append((zp + p - n_, ms, created + ((p, i_),),
-                                    cdeg + p, c * cf))
+                        s = (zp - n_, ms, created, cdeg)
+                        nxt[s] = get(s, 0) + c * z0
+                    for dz, rest, a in mv:
+                        s = (zp + dz, rest, created, cdeg)
+                        nxt[s] = get(s, 0) + c * a
+                    for p, cf in cre:
+                        if cdeg + p + low_cre > budget:
+                            break
+                        s = (zp + p - n_, ms,
+                             tuple(sorted(created + ((p, i_),))), cdeg + p)
+                        nxt[s] = get(s, 0) + c * cf
                 stage = nxt
+            # merge the states by (z-power, all modes) within the budget
+            heads: dict = {}
+            room = {}       # ms -> budget left after its degree
+            for (zp, ms, created, cdeg), c in stage.items():
+                r = room.get(ms)
+                if r is None:
+                    r = room[ms] = budget - sum(n for n, _ in ms)
+                if c and cdeg <= r:
+                    s = (zp, tuple(sorted(ms + created)) if created else ms)
+                    heads[s] = heads.get(s, 0) + c
             # creation exponential and assembly
-            eser = self._eminus_series(alpha)
-            indices = self._base_index
-            for zp, ms, created, cdeg, c in stage:
-                mdeg = sum(n for n, _ in ms) + cdeg
-                if mdeg > budget:
+            k0 = -tpair - 1
+            for (zp, head), c in heads.items():
+                if not c:
                     continue
-                head = ms + created
                 c *= sign
-                for edeg in range(0, budget - mdeg + 1):
-                    index = indices.get(qtau + mdeg + edeg)
-                    if index is None:
-                        index = self.basis_index(qtau + mdeg + edeg)
-                    bucket = out.setdefault(-(tpair + zp + edeg) - 1, {})
-                    for emodes, ec in eser[edeg].items():
-                        i = index[FockMonomial(tuple(sorted(head + emodes)),
-                                               tau)]
-                        val = bucket.get(i, 0) + c * ec
-                        if val:
-                            bucket[i] = val
-                        elif i in bucket:
-                            del bucket[i]
-        out = {k: b for k, b in out.items() if b}
-        self._prod[key] = out
+                for edeg, terms in enumerate(
+                        self._creation_terms(head, alpha, tau)):
+                    bucket = out.get(k0 - zp - edeg)
+                    if bucket is None:
+                        bucket = out[k0 - zp - edeg] = {}
+                    for i, ec in terms:
+                        bucket[i] = bucket.get(i, 0) + c * ec
+        packed = {}
+        for k, bucket in out.items():
+            b = tuple([(c << INDEX_BITS) | i
+                       for i, c in sorted(bucket.items()) if c])
+            if b:
+                packed[k] = b
+        self._prod[key] = packed
+        return packed
+
+    def _creation_terms(self, head: tuple, alpha: tuple, tau: tuple) -> list:
+        """The creation exponential of alpha on head over tail tau.
+
+        Entry edeg lists (basis index of sorted(head + emodes), num) over
+        the creation-series terms emodes of degree edeg, up to the cutoff;
+        num is over N!.  Memoized per (head, alpha, tau).
+        """
+        key = (head, alpha, tau)
+        hit = self._ecreate.get(key)
+        if hit is not None:
+            return hit
+        eser = self._eminus_series(alpha)
+        deg = self.lattice.norm(tau) // 2 + sum(n for n, _ in head)
+        out = []
+        for edeg in range(self.cutoff - deg + 1):
+            index = self.basis_index(deg + edeg)
+            out.append(tuple(
+                (index[FockMonomial(tuple(sorted(head + emodes)), tau)], ec)
+                for emodes, ec in eser[edeg].items()))
+        self._ecreate[key] = out
         return out
 
     def vertex_product(self, a: GradedVector, k: int, b: GradedVector,
@@ -517,8 +593,9 @@ class TruncatedVOA:
                     continue
                 xy = x * c2.numerator * (bden // c2.denominator)
                 row = acc.setdefault(target, {})
-                for i, c in bucket.items():
-                    row[i] = row.get(i, 0) + xy * c
+                for p in bucket:
+                    i = p & INDEX_MASK
+                    row[i] = row.get(i, 0) + xy * (p >> INDEX_BITS)
         den = aden * bden * self.product_den
         out = {}
         for target, row in acc.items():

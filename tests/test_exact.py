@@ -396,6 +396,79 @@ class TestCoordinates:
                     a.coordinates(v)
 
 
+class TestSparseMembership:
+    """int_coordinates on standard-form lattices against Gauss-Jordan."""
+
+    @pytest.fixture(scope="class")
+    def lattices(self):
+        from voaforms.forms import standard_form
+        from voaforms.voa import EvenLattice, TruncatedVOA
+        J = standard_form(TruncatedVOA(EvenLattice([[2]]), 5))
+        out = []
+        for d in J.degrees():
+            a = J.lattice(d)
+            out.append(a)
+            if a.rank > 2:
+                # every other row: a sublattice with non-pivot columns
+                out.append(ZLattice._from_ints(a.ambient_dim, a.den,
+                                               a.rows[::2]))
+        return out
+
+    @staticmethod
+    def expected(a, w):
+        """Integer coordinates of w / den by the oracle, or None."""
+        sol = gauss_solve_left(a.basis_rows(), [Fraction(x, a.den)
+                                                for x in w])
+        if sol is None or any(x.denominator != 1 for x in sol):
+            return None
+        return [int(x) for x in sol]
+
+    def test_nonzeros_are_the_rows(self, lattices):
+        for a in lattices:
+            assert a.nonzeros == tuple(
+                tuple((j, x) for j, x in enumerate(row) if x)
+                for row in a.rows)
+            assert a.pivots == tuple(nz[0][0] for nz in a.nonzeros)
+
+    def test_sparse_members(self, lattices):
+        rng = random.Random(5)
+        for a in lattices:
+            for _ in range(20):
+                coords = [0] * a.rank
+                for i in rng.sample(range(a.rank), min(2, a.rank)):
+                    coords[i] = rng.choice([-3, -1, 1, 2])
+                w = [sum(c * row[j] for c, row in zip(coords, a.rows))
+                     for j in range(a.ambient_dim)]
+                assert self.expected(a, w) == coords
+                assert a.int_coordinates(list(w)) == coords
+
+    def test_off_pivot_vectors_are_not_members(self, lattices):
+        seen = 0
+        for a in lattices:
+            free = [j for j in range(a.ambient_dim) if j not in a.pivots]
+            for j in free:
+                for w in ([0] * a.ambient_dim, [1] * a.ambient_dim):
+                    w = [x if i in free else 0 for i, x in enumerate(w)]
+                    w[j] = 7
+                    assert self.expected(a, w) is None
+                    assert a.int_coordinates(w) is None
+                    seen += 1
+        assert seen > 10
+
+    def test_remainder_at_a_pivot(self, lattices):
+        seen = 0
+        for a in lattices:
+            for row, j in zip(a.rows, a.pivots):
+                if row[j] == 1:
+                    continue
+                w = [x * 3 for x in row]
+                w[j] += 1
+                assert self.expected(a, w) is None
+                assert a.int_coordinates(list(w)) is None
+                seen += 1
+        assert seen > 10
+
+
 class TestZeroLattice:
     def test_legal_everywhere(self):
         z = ZLattice.zero(2)

@@ -5,6 +5,8 @@ from math import factorial
 import pytest
 
 from voaforms.voa import (
+    INDEX_BITS,
+    INDEX_MASK,
     CutoffExceededError,
     ElementParseError,
     EvenLattice,
@@ -331,6 +333,23 @@ class TestKernelOracles:
 class TestIntegerKernelMatchesFractions:
     """Integer tables over (N!)^2 equal the Fraction kernel's products."""
 
+    @staticmethod
+    def check_pairs(V, max_total):
+        """Every monomial pair with deg(ma) + deg(mb) <= max_total."""
+        monos = [(d, m) for d in range(V.cutoff + 1)
+                 for m in V.graded_basis(d)]
+        pairs = [(da, ma, db, mb) for da, ma in monos for db, mb in monos
+                 if da + db <= max_total]
+        for da, ma, db, mb in pairs:
+            got = {}
+            for k, bucket in V.pair_products(ma, mb).items():
+                basis = V.graded_basis(da + db - k - 1)
+                got[k] = {basis[p & INDEX_MASK]: F(p >> INDEX_BITS,
+                                                   V.product_den)
+                          for p in bucket}
+            assert got == fraction_kernel.pair_products(V, ma, mb)
+        return len(pairs)
+
     @pytest.mark.parametrize("gram, cutoff", [([[2]], 5),
                                               ([[2, 1], [1, 2]], 3),
                                               ([[4]], 5),
@@ -338,16 +357,45 @@ class TestIntegerKernelMatchesFractions:
     def test_every_monomial_pair(self, gram, cutoff):
         V = TruncatedVOA(EvenLattice(gram), cutoff)
         assert V.product_den == factorial(cutoff) ** 2
+        self.check_pairs(V, 2 * cutoff)
+
+    def test_a1_n6_pairs_within_the_cutoff(self):
+        # where merging expansion states removes the most duplicates
+        V = TruncatedVOA(EvenLattice([[2]]), 6)
+        assert V.product_den == factorial(6) ** 2
+        assert self.check_pairs(V, 6) == 643
+
+
+class TestPackedBuckets:
+    """Bucket entries (num << INDEX_BITS) | index decode to basis terms."""
+
+    @pytest.mark.parametrize("gram, cutoff", [([[2, 1], [1, 2]], 3),
+                                              ([[2]], 5)])
+    def test_entries_decode_in_range(self, gram, cutoff):
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
         monos = [(d, m) for d in range(cutoff + 1)
                  for m in V.graded_basis(d)]
+        entries = 0
         for da, ma in monos:
             for db, mb in monos:
-                got = {}
                 for k, bucket in V.pair_products(ma, mb).items():
-                    basis = V.graded_basis(da + db - k - 1)
-                    got[k] = {basis[i]: F(c, V.product_den)
-                              for i, c in bucket.items()}
-                assert got == fraction_kernel.pair_products(V, ma, mb)
+                    dim = V.dim(da + db - k - 1)
+                    assert bucket
+                    indices = [p & INDEX_MASK for p in bucket]
+                    assert all(i < dim for i in indices)
+                    assert len(set(indices)) == len(indices)
+                    assert all(p >> INDEX_BITS for p in bucket)
+                    entries += len(bucket)
+        assert entries > 10000
+
+    def test_graded_basis_rejects_unindexable_degree(self, monkeypatch):
+        import voaforms.voa as voa
+        assert TruncatedVOA(EvenLattice([[2]]), 3).dim(3) == 7
+        monkeypatch.setattr(voa, "INDEX_BITS", 2)   # at most 3 monomials
+        V = TruncatedVOA(EvenLattice([[2]]), 3)
+        assert V.dim(1) == 3
+        with pytest.raises(ValueError, match="more than pair_products"):
+            V.graded_basis(3)
 
 
 class TestBilinearForm:
