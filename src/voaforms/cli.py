@@ -428,11 +428,13 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
     mats = data["isometries"]
     if not isinstance(mats, list):
         raise InputError("action: isometries: not a list")
-    signs = data.get("tail_signs") or [None] * len(mats)
+    signs = data.get("tail_signs")
+    if signs is None:
+        signs = [None] * len(mats)
     if not isinstance(signs, list):
         raise InputError("action: tail_signs: not a list")
     if len(signs) != len(mats):
-        raise InputError("action: tail_signs length != isometries length")
+        raise InputError("action: tail_signs: length != isometries length")
     auts = []
     for i, m in enumerate(mats):
         try:

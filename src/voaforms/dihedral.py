@@ -115,15 +115,16 @@ def ad_matrix(algebra: FiniteAlgebra, x: Sequence) -> QMatrix:
     return QMatrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
 
+def trace_form(mats: Sequence[QMatrix]) -> QMatrix:
+    """Gram matrix of (i, j) -> Tr(M_i M_j) for square matrices M_i."""
+    n = len(mats)
+    return QMatrix(n, n, [(mi @ mj).trace() for mi in mats for mj in mats])
+
+
 def killing_form(algebra: FiniteAlgebra) -> QMatrix:
     """Gram matrix of (x, y) -> Tr(ad(x) ad(y)) on the basis."""
-    n = algebra.dim
-    ads = [ad_matrix(algebra, algebra.basis_vector(i)) for i in range(n)]
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append((ads[i] @ ads[j]).trace())
-    return QMatrix(n, n, entries)
+    return trace_form([ad_matrix(algebra, algebra.basis_vector(i))
+                       for i in range(algebra.dim)])
 
 
 def is_associative_form(algebra: FiniteAlgebra, gram: QMatrix):

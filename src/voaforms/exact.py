@@ -319,82 +319,47 @@ def kernel_int(rows: Sequence[Sequence[int]], cols: int) -> list:
 
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> list:
-    """Invariant factors d1 | d2 | ... of an integer matrix (nonzero only)."""
+    """Invariant factors d1 | d2 | ... of an integer matrix (nonzero only).
+
+    Row Hermite forms of the matrix and of its transpose alternate until
+    every row has a single nonzero entry (Kannan-Bachem 1979).  The loop
+    ends: the leading pivot of each transposed form is the gcd of the
+    leading row, so it shrinks, or else that row and column clear and the
+    same holds in the trailing block.  Replacing each pair (d_i, d_j) of the
+    diagonal by (gcd, lcm) then gives the divisibility chain.
+    """
     a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    s = 0
-    while s < m and s < n:
-        # locate a nonzero entry in the trailing block
-        pos = None
-        best = None
-        for i in range(s, m):
-            for j in range(s, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
+    cols = len(a[0]) if a else 0
+    while True:
+        a = hnf_int(a, cols)
+        if all(len(row) - row.count(0) == 1 for row in a):
             break
-        i0, j0 = pos
-        a[s], a[i0] = a[i0], a[s]
-        for row in a:
-            row[s], row[j0] = row[j0], row[s]
-        # Clear row and column s.  Exact multiples are subtracted without
-        # touching the pivot row/column; otherwise a unimodular 2x2 transform
-        # replaces the pivot by a strictly smaller gcd, so the loop terminates.
-        while True:
-            for i in range(s + 1, m):
-                b = a[i][s]
-                if not b:
-                    continue
-                p = a[s][s]
-                if b % p == 0:
-                    q = b // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-                else:
-                    x, y, g = _xgcd(p, b)
-                    pg, qg = p // g, b // g
-                    rs, ri = a[s], a[i]
-                    for j in range(s, n):
-                        u, v = rs[j], ri[j]
-                        rs[j] = x * u + y * v
-                        ri[j] = pg * v - qg * u
-            for j in range(s + 1, n):
-                b = a[s][j]
-                if not b:
-                    continue
-                p = a[s][s]
-                if b % p == 0:
-                    q = b // p
-                    for row in a:
-                        row[j] -= q * row[s]
-                else:
-                    x, y, g = _xgcd(p, b)
-                    pg, qg = p // g, b // g
-                    for row in a:
-                        u, v = row[s], row[j]
-                        row[s] = x * u + y * v
-                        row[j] = pg * v - qg * u
-            if all(a[i][s] == 0 for i in range(s + 1, m)) and \
-               all(a[s][j] == 0 for j in range(s + 1, n)):
-                # enforce divisibility of the trailing block by the pivot
-                bad = None
-                p = a[s][s]
-                for i in range(s + 1, m):
-                    for j in range(s + 1, n):
-                        if a[i][j] % p:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                for j in range(s, n):
-                    a[s][j] += a[bad][j]
-        diag.append(abs(a[s][s]))
-        s += 1
-    return [d for d in diag if d]
+        a, cols = list(zip(*a)), len(a)
+    d = [next(x for x in row if x) for row in a]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
+    """The product a @ b of integer matrices given by rows, as row tuples.
+
+    Zero entries of both operands are skipped.  A ``b`` with no rows gives
+    rows of width zero.
+    """
+    width = len(b[0]) if b else 0
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in nonzeros[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -652,20 +617,11 @@ def int_gram(rows: Sequence[Sequence[int]],
     """(M, fden) with rows @ form @ rows^T == M / fden and M integral.
 
     ``rows`` are integer vectors and ``form`` a square rational matrix given
-    by its rows; fden is the lcm of the form's entry denominators.  Zero
-    coordinates and zero form entries are skipped.
+    by its rows; fden is the lcm of the form's entry denominators.
     """
     fden = lcm(1, *(x.denominator for row in form for x in row))
-    f = [[(j, int(x * fden)) for j, x in enumerate(row) if x] for row in form]
-    out = []
-    for u in rows:
-        uf = {}
-        for i, x in enumerate(u):
-            if x:
-                for j, fij in f[i]:
-                    uf[j] = uf.get(j, 0) + x * fij
-        out.append([sum(c * w[j] for j, c in uf.items()) for w in rows])
-    return out, fden
+    f = [[int(x * fden) for x in row] for row in form]
+    return mat_mul(mat_mul(rows, f), list(zip(*rows))), fden
 
 
 def dual_lattice(a: ZLattice, gram: QMatrix) -> ZLattice:

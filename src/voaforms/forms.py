@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from voaforms.dihedral import FiniteAlgebra, trace_form
 from voaforms.exact import (
     DegenerateFormError,
     QMatrix,
@@ -31,6 +32,7 @@ from voaforms.exact import (
     kernel_int,
     lattice_intersect,
     lattice_sum,
+    mat_mul,
     quotient_exponent,
 )
 from voaforms.latgroup import (
@@ -625,17 +627,16 @@ class VOAAutomorphism:
                  basis_signs: Sequence[int] | None = None) -> None:
         V = host
         n = V.lattice.rank
-        S = tuple(tuple(int(x) for x in row) for row in isometry)
+        S = tuple(tuple(as_integer(x, "isometry entry") for x in row)
+                  for row in isometry)
         if len(S) != n or any(len(r) != n for r in S):
             raise ValueError("isometry has wrong shape")
         g = V.lattice.gram
-        for i in range(n):
-            for j in range(n):
-                gi = [sum(S[a][i] * g[a][b] for a in range(n))
-                      for b in range(n)]
-                if sum(gi[b] * S[b][j] for b in range(n)) != g[i][j]:
-                    raise ValueError("matrix does not preserve the form")
-        signs = tuple(int(s) for s in (basis_signs or (1,) * n))
+        if mat_mul(mat_mul(list(zip(*S)), g), S) != g:
+            raise ValueError("matrix does not preserve the form")
+        if basis_signs is None:
+            basis_signs = (1,) * n
+        signs = tuple(as_integer(s, "basis sign") for s in basis_signs)
         if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise ValueError("basis signs must be +-1 of length rank")
         self.host = V
@@ -682,8 +683,7 @@ class VOAAutomorphism:
         n = V.lattice.rank
         out: dict = {}
         for mono, coeff in v.terms.items():
-            tail = tuple(sum(S[a][i] * mono.tail[i] for i in range(n))
-                         for a in range(n))
+            tail = tuple(apply_matrix(S, mono.tail))
             base = coeff * self.tail_sign(mono.tail)
             spread = [((), base)]
             for (m_, i_) in mono.modes:
@@ -726,9 +726,7 @@ class VOAAutomorphism:
         """self after other."""
         V = self.host
         n = V.lattice.rank
-        S = tuple(tuple(sum(self.isometry[a][b] * other.isometry[b][i]
-                            for b in range(n)) for i in range(n))
-                  for a in range(n))
+        S = mat_mul(self.isometry, other.isometry)
         signs = []
         for i in range(n):
             ei = [int(a == i) for a in range(n)]
@@ -916,13 +914,7 @@ def degree_trace_form(J: TruncatedForm, degree: int) -> QMatrix:
     Symmetric by trace cyclicity even where the mode product itself is not
     commutative.
     """
-    mats = degree_mode_matrices(J, degree)
-    dim = len(mats)
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            entries.append((mats[i] @ mats[j]).trace())
-    return QMatrix(dim, dim, entries)
+    return trace_form(degree_mode_matrices(J, degree))
 
 
 def degree_algebra(J: TruncatedForm, degree: int):
@@ -932,7 +924,6 @@ def degree_algebra(J: TruncatedForm, degree: int):
     commutativity (the product differs from its flip by a translate of a
     lower product); those feed degree_trace_form directly instead.
     """
-    from voaforms.dihedral import FiniteAlgebra
     mats = degree_mode_matrices(J, degree)
     dim = len(mats)
     cijk = [[[mats[i].entry(k, j) for k in range(dim)]

@@ -21,6 +21,7 @@ from voaforms.exact import (
     kernel_int,
     lattice_intersect,
     lattice_sum,
+    mat_mul,
     quotient_exponent,
 )
 
@@ -39,12 +40,6 @@ class GroupClosureError(ValueError):
 
 def _mat_tuple(m: Sequence[Sequence[int]]) -> tuple:
     return tuple(tuple(int(x) for x in row) for row in m)
-
-
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
 
 
 def _mat_identity(n: int) -> tuple:
@@ -68,11 +63,11 @@ class SignedAction:
         for g in gens:
             if len(g) != ambient_dim or any(len(r) != ambient_dim for r in g):
                 raise ActionError("generator has wrong shape")
-            if _mat_mul(g, g) != ident:
+            if mat_mul(g, g) != ident:
                 raise ActionError("generator does not square to the identity")
         for i, g in enumerate(gens):
             for h in gens[i + 1:]:
-                if _mat_mul(g, h) != _mat_mul(h, g):
+                if mat_mul(g, h) != mat_mul(h, g):
                     raise ActionError("generators do not commute")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "generators", gens)
@@ -89,7 +84,7 @@ class SignedAction:
             m = _mat_identity(n)
             for i in range(self.rank):
                 if mask >> i & 1:
-                    m = _mat_mul(m, self.generators[i])
+                    m = mat_mul(m, self.generators[i])
             out.append((mask, m))
         return out
 
@@ -162,7 +157,7 @@ def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
     if lattice.rank == 0 or not matrices:
         return lattice
     n = lattice.ambient_dim
-    h = [list(r) for r in lattice.rows]
+    h = lattice.rows
     # x = y*H/D lies in the sublattice iff y * (H*(g^T - s*I)) = 0 for all
     # pairs; stack the constraint blocks horizontally.
     stacked = [[] for _ in h]
@@ -171,9 +166,7 @@ def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
             img = apply_matrix(g, row)
             out.extend(img[j] - s * row[j] for j in range(n))
     ker = kernel_int(stacked, len(stacked[0]))
-    return ZLattice._from_ints(n, lattice.den, [
-        [sum(y[i] * h[i][j] for i in range(len(h))) for j in range(n)]
-        for y in ker])
+    return ZLattice._from_ints(n, lattice.den, mat_mul(ker, h))
 
 
 def eigenlattice(lattice: ZLattice, action: SignedAction,
@@ -252,7 +245,7 @@ def close_matrix_group(mats: Iterable, dim: int, bound: int = 1024) -> list:
         nxt = []
         for m in frontier:
             for g in gens:
-                prod = _mat_mul(m, g)
+                prod = mat_mul(m, g)
                 if prod not in group:
                     group.add(prod)
                     nxt.append(prod)

@@ -75,13 +75,12 @@ class FockMonomial(NamedTuple):
 class GradedVector:
     """Finite rational combination of Fock monomials below a cutoff."""
 
-    __slots__ = ("terms", "cutoff", "truncated")
+    __slots__ = ("terms", "cutoff")
 
-    def __init__(self, terms: dict, cutoff: int, truncated: bool = False):
+    def __init__(self, terms: dict, cutoff: int):
         clean = {m: Fraction(c) for m, c in terms.items() if c}
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "truncated", truncated)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("GradedVector is immutable")
@@ -93,8 +92,7 @@ class GradedVector:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-        return GradedVector(out, self.cutoff,
-                            self.truncated or other.truncated)
+        return GradedVector(out, self.cutoff)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + other.scale(-1)
@@ -105,9 +103,9 @@ class GradedVector:
     def scale(self, c) -> "GradedVector":
         c = Fraction(c)
         if not c:
-            return GradedVector({}, self.cutoff, self.truncated)
+            return GradedVector({}, self.cutoff)
         return GradedVector({m: c * v for m, v in self.terms.items()},
-                            self.cutoff, self.truncated)
+                            self.cutoff)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedVector)
@@ -563,16 +561,13 @@ class TruncatedVOA:
         self._ecreate[key] = out
         return out
 
-    def vertex_product(self, a: GradedVector, k: int, b: GradedVector,
-                       truncate: str = "error") -> GradedVector:
-        """The product a_k b; degrees above the cutoff error or drop."""
-        if truncate not in ("error", "drop"):
-            raise ValueError("truncate must be 'error' or 'drop'")
+    def vertex_product(self, a: GradedVector, k: int,
+                       b: GradedVector) -> GradedVector:
+        """The product a_k b; a degree above the cutoff raises."""
         # integer numerators over aden * bden * product_den, per target
         aden = lcm(1, *(c.denominator for c in a.terms.values()))
         bden = lcm(1, *(c.denominator for c in b.terms.values()))
         acc: dict = {}
-        truncated = False
         for m1, c1 in a.terms.items():
             d1 = self.mono_degree(m1)
             x = c1.numerator * (aden // c1.denominator)
@@ -580,12 +575,8 @@ class TruncatedVOA:
                 d2 = self.mono_degree(m2)
                 target = d1 + d2 - k - 1
                 if target > self.cutoff:
-                    if truncate == "error":
-                        raise CutoffExceededError(
-                            f"a_{k} b has degree {target} > cutoff "
-                            f"{self.cutoff}")
-                    truncated = True
-                    continue
+                    raise CutoffExceededError(
+                        f"a_{k} b has degree {target} > cutoff {self.cutoff}")
                 if target < 0:
                     continue
                 bucket = self.pair_products(m1, m2).get(k)
@@ -603,7 +594,7 @@ class TruncatedVOA:
             for i, c in row.items():
                 if c:
                     out[basis[i]] = Fraction(c, den)
-        return GradedVector(out, self.cutoff, truncated)
+        return GradedVector(out, self.cutoff)
 
     # -- bilinear form ---------------------------------------------------------
 
@@ -678,11 +669,9 @@ class TruncatedVOA:
             self._omega = GradedVector(terms, self.cutoff)
         return self._omega
 
-    def L_apply(self, n: int, v: GradedVector,
-                truncate: str = "error") -> GradedVector:
+    def L_apply(self, n: int, v: GradedVector) -> GradedVector:
         """L(n) v realized as omega_{n+1} v."""
-        return self.vertex_product(self.virasoro_element(), n + 1, v,
-                                   truncate)
+        return self.vertex_product(self.virasoro_element(), n + 1, v)
 
     def divided_translate(self, v: GradedVector, n: int) -> GradedVector:
         """v_{-n-1} vac, which equals L(-1)^n v / n! exactly."""

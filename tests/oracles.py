@@ -8,7 +8,8 @@ These are the reference answers the fast paths are compared against.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm
 
 
 def gauss_solve_left(basis_rows, vector):
@@ -125,6 +126,37 @@ def exponent_by_scan(a_rows, b_rows, bound=30000):
         if all(member_by_solve([m * x for x in row], b_rows) for row in a_rows):
             return m
     raise AssertionError("no exponent found within bound")
+
+
+def det_by_expansion(rows):
+    """Determinant of a square integer matrix by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * det_by_expansion(
+        [list(r[:j]) + list(r[j + 1:]) for r in rows[1:]])
+        for j, x in enumerate(rows[0]) if x)
+
+
+def invariants_by_minors(rows):
+    """Nonzero invariant factors from the determinantal divisors.
+
+    D_k, the gcd of all k x k minors, equals d_1 ... d_k, so d_k is
+    D_k / D_(k-1) for every k up to the rank.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    out, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        dk = 0
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                dk = gcd(dk, det_by_expansion(
+                    [[rows[i][j] for j in ci] for i in ri]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
 
 
 def poly_mul_trunc(p, q, nmax):

@@ -318,6 +318,24 @@ MALFORMED = {
         "--action", _action(
             t, '{"isometries": [[[-1]]], "tail_signs": 3}')],
         "action: tail_signs"),
+    "tel-isometry-fraction": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(t, '{"isometries": [[[-1.5]]]}')],
+        "action: isometry 0"),
+    "tel-isometry-string": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(t, '{"isometries": [[["-1"]]]}')],
+        "action: isometry 0"),
+    "tel-tail-sign-boolean": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(
+            t, '{"isometries": [[[-1]]], "tail_signs": [[true]]}')],
+        "action: isometry 0"),
+    "tel-tail-signs-empty": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(
+            t, '{"isometries": [[[-1]]], "tail_signs": []}')],
+        "action: tail_signs"),
     "verify-degree-no-rank": (lambda t: [
         "verify", "--manifest", _manifest(t, degrees={
             **GOLDEN_DEGREES,

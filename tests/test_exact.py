@@ -14,6 +14,7 @@ from voaforms.exact import (
     hnf,
     lattice_intersect,
     lattice_sum,
+    mat_mul,
     membership,
     quotient_exponent,
     quotient_index,
@@ -25,6 +26,7 @@ from oracles import (
     exponent_by_scan,
     gauss_solve_left,
     grid_points,
+    invariants_by_minors,
     member_by_solve,
     member_of_span,
     naive_z_span_basis,
@@ -279,6 +281,50 @@ class TestSmith:
             inv = smith_invariants(mat)
             for d1, d2 in zip(inv, inv[1:]):
                 assert d2 % d1 == 0
+
+    def test_matches_determinantal_divisors(self):
+        rng = random.Random(31)
+        for trial in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            mat = [[rng.choice((0, 0, 1, -1, 2, -3, 4, 6, -9))
+                    for _ in range(n)] for _ in range(m)]
+            if trial % 5 == 0:
+                # rank-deficient: the last row is a combination of others
+                c = [rng.randint(-2, 2) for _ in range(m - 1)]
+                mat[-1] = [sum(ci * row[j] for ci, row in zip(c, mat))
+                           for j in range(n)]
+            assert smith_invariants(mat) == invariants_by_minors(mat), mat
+        for m, n in ((1, 1), (2, 3), (4, 2), (4, 4)):
+            zero = [[0] * n for _ in range(m)]
+            assert smith_invariants(zero) == invariants_by_minors(zero) == []
+        assert smith_invariants([]) == []
+
+
+class TestMatMul:
+    @staticmethod
+    def dense(a, b, n):
+        return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+                 for j in range(n)] for i in range(len(a))]
+
+    def test_matches_dense_product(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            m, k, n = (rng.randint(0, 5) for _ in range(3))
+            k = max(k, 1)
+            a = [[rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(k)]
+                 for _ in range(m)]
+            b = [[rng.choice((0, 0, 0, -1, 3, 7)) for _ in range(n)]
+                 for _ in range(k)]
+            got = mat_mul(a, b)
+            assert [list(r) for r in got] == self.dense(a, b, n)
+
+    def test_empty_and_zero_shapes(self):
+        assert mat_mul([], [[1, 2], [3, 4]]) == ()
+        assert mat_mul([[1, 2]], [[], []]) == ((),)
+        assert mat_mul([[], []], []) == ((), ())
+        assert mat_mul([[0, 0], [0, 0], [0, 0]], [[1, 2, 3], [4, 5, 6]]) \
+            == ((0, 0, 0),) * 3
+        assert mat_mul([[1, 2]], [[0, 0], [0, 0]]) == ((0, 0),)
 
 
 def random_lattice(rng, dim, max_entry=4, allow_halves=False):

@@ -132,8 +132,6 @@ class TestVertexProduct:
         top = mono(a1, [(6, 0)], [0])
         with pytest.raises(CutoffExceededError):
             a1.vertex_product(top, -1, top)
-        dropped = a1.vertex_product(top, -1, top, truncate="drop")
-        assert dropped.is_zero() and dropped.truncated
 
     def test_negative_degree_products_vanish(self, a1):
         eg = mono(a1, [], [1])
