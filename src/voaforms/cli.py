@@ -178,10 +178,20 @@ def _render_manifest_text(m: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _suite_manifest_consistency(V, J, manifest):
-    want = fm.check_lattice_integral(J).to_json()["degrees"]
     recorded = manifest.get("degrees", {})
     if not isinstance(recorded, dict):
         raise InputError("manifest: degrees: not an object")
+    has_trace = "denominator_trace" in manifest
+    trace = manifest.get("denominator_trace")
+    if has_trace:
+        if not isinstance(trace, list):
+            raise InputError("manifest: denominator_trace: not a list")
+        for i, entry in enumerate(trace):
+            if not isinstance(entry, dict):
+                raise InputError(
+                    f"manifest: denominator_trace: entry {i}: not an object")
+    built = fm.build_manifest(J)
+    want = built["degrees"]
     for d in range(V.cutoff + 1):
         info = want.get(str(d))
         rec = recorded.get(str(d))
@@ -198,6 +208,11 @@ def _suite_manifest_consistency(V, J, manifest):
                     f"manifest: degrees.{d}: missing field '{key}'")
             if rec[key] != info[key]:
                 return False, f"degree {d}: {what} mismatch"
+    extra = sorted(set(recorded) - {str(d) for d in range(V.cutoff + 1)})
+    if extra:
+        return False, f"degree {extra[0]!r}: outside 0..{V.cutoff}"
+    if has_trace and trace != built.get("denominator_trace"):
+        return False, "denominator trace mismatch"
     return True, None
 
 

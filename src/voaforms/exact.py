@@ -41,6 +41,8 @@ def parse_rational(text: str) -> Fraction:
 
 def as_integer(value, what: str) -> int:
     """``value`` as an int; 2.0 passes, while 2.5, "2" or True raises."""
+    if type(value) is int:
+        return value
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):

@@ -162,6 +162,21 @@ def _products_all_k(V: TruncatedVOA, u: list, v: list) -> dict:
     return out
 
 
+def _contains(lat: ZLattice, den: int, w: list) -> bool:
+    """Whether w / den lies in lat, for an integer row w and den > 0.
+
+    With g = gcd(den, *w), lat.den * w / den is integral iff den / g
+    divides lat.den; int_coordinates then finds its coordinates or not.
+    """
+    g = gcd(den, *w)
+    f, r = divmod(lat.den, den // g)
+    if r:
+        return False
+    if g > 1:
+        w = [x // g for x in w]
+    return lat.int_coordinates([x * f for x in w]) is not None
+
+
 def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                   gen_degree: int | None = None,
                   iter_bound: int = 50) -> TruncatedForm:
@@ -169,17 +184,29 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
 
     Maintains one canonical lattice per degree.  Each pass takes the basis
     rows of the lattices as they stand at its start and, for every ordered
-    degree pair (da, db) with da != 0 where L_da or L_db changed in the
-    previous pass (every pair in the first pass), adds each product u_k v of
-    a row u of L_da and a row v of L_db landing below the cutoff to the live
-    lattice of its degree.  Products are bilinear, so these rows generate
-    the same products as any spanning set, and a pair whose lattices did not
-    change has had its products added already; each pass therefore ends on
-    the same lattices as multiplying every vector found so far.  Stops when
-    a pass changes no lattice.  A failure to stabilize raises
-    SaturationError carrying the per-pass denominator trace (which is also
-    the denominator-growth report for converged runs).  Rows are ints over
-    their lattice's denominator throughout.
+    degree pair (da, db) with da != 0, adds each product u_k v of a row u
+    of L_da and a row v of L_db landing below the cutoff to the live
+    lattice of its degree, but only for pairs (u, v) where u or v is
+    fresh.  A row is fresh if it does not lie in its degree's lattice at
+    the start of the previous pass; every row is fresh in the first pass
+    and in a degree that had no lattice then.  Stops when a pass changes
+    no lattice.
+
+    This is semi-naive evaluation, and each pass still ends on the
+    lattices that multiplying every pair of rows gives.  Write S_t for the
+    lattices at the start of pass t.  By induction on t, S_(t+1) contains
+    every product of two rows of S_t, and so (products being bilinear) of
+    any two of its vectors: pass 1 multiplies every pair, and in a later
+    pass two non-fresh rows lie in S_(t-1), so their products lie in S_t
+    already.  The pairs a pass skips therefore add nothing, and as
+    lattices are stored canonically, every pass ends on the same lattices,
+    with the same denominator trace, as multiplying every pair of rows, or
+    every vector found so far, which spans the same lattices.
+
+    A failure to stabilize raises SaturationError carrying the per-pass
+    denominator trace (which is also the denominator-growth report for
+    converged runs).  Rows are ints over their lattice's denominator
+    throughout.
     """
     gens = [g for g in generators if not g.is_zero()]
     for g in gens:
@@ -198,14 +225,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         lat = lattices.get(d)
         if lat is None:
             lat = ZLattice.zero(V.dim(d))
-        g = gcd(den, *w)
-        if g > 1:
-            den //= g
-            w = [x // g for x in w]
-        # w / den is in lat only if lat.den * w / den is integral, which for
-        # coprime (den, w) means den | lat.den
-        f, r = divmod(lat.den, den)
-        if r or lat.int_coordinates([x * f for x in w]) is None:
+        if not _contains(lat, den, w):
             lattices[d] = lattice_sum(
                 lat, ZLattice._from_ints(lat.ambient_dim, den, [w]))
 
@@ -215,23 +235,25 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         try_add(d, den, [x.numerator * (den // x.denominator) for x in row])
 
     trace = []
-    changed = set(lattices)
+    prev: dict = {}
     for _ in range(iter_bound):
         start = dict(lattices)
-        rows = {}
+        rows, fresh, new = {}, {}, {}
         for d, lat in start.items():
             basis = V.graded_basis(d)
             rows[d] = [[(basis[j], x) for j, x in enumerate(r) if x]
                        for r in lat.rows]
+            old = prev.get(d)
+            fresh[d] = [old is None or not _contains(old, lat.den, r)
+                        for r in lat.rows]
+            new[d] = [u for u, f in zip(rows[d], fresh[d]) if f]
         for da in sorted(start):
             if da == 0:
                 continue  # vacuum as left factor only reproduces the input
             for db in sorted(start):
-                if da not in changed and db not in changed:
-                    continue
                 den = start[da].den * start[db].den * V.product_den
-                for u in rows[da]:
-                    for v in rows[db]:
+                for u, fu in zip(rows[da], fresh[da]):
+                    for v in rows[db] if fu else new[db]:
                         for k, acc in _products_all_k(V, u, v).items():
                             d = da + db - k - 1
                             w = [0] * V.dim(d)
@@ -240,10 +262,10 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                             if any(w):
                                 try_add(d, den, w)
         trace.append({d: lattices[d].den for d in sorted(lattices)})
-        changed = {d for d, lat in lattices.items() if start.get(d) != lat}
-        if not changed:
+        if lattices == start:
             return TruncatedForm(V, lattices, [V.vacuum()] + gens,
                                  gen_degree, trace)
+        prev = start
     raise SaturationError(
         f"saturation did not stabilize within {iter_bound} passes", trace)
 

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from voaforms.exact import (
     ZLattice,
     DimensionMismatchError,
+    as_integer,
     hnf_int,
     kernel_int,
     lattice_intersect,
@@ -39,7 +40,8 @@ class GroupClosureError(ValueError):
 
 
 def _mat_tuple(m: Sequence[Sequence[int]]) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in m)
+    return tuple(tuple(as_integer(x, "matrix entry") for x in row)
+                 for row in m)
 
 
 def _mat_identity(n: int) -> tuple:
@@ -99,7 +101,7 @@ class SignedAction:
 
     @classmethod
     def from_json(cls, data: dict) -> "SignedAction":
-        n = int(data["dim"])
+        n = as_integer(data["dim"], "dim")
         gens = []
         for flat in data["generators"]:
             if len(flat) != n * n:
@@ -114,7 +116,7 @@ class Character:
     __slots__ = ("signs",)
 
     def __init__(self, signs: Iterable[int]) -> None:
-        sg = tuple(int(s) for s in signs)
+        sg = tuple(as_integer(s, "character value") for s in signs)
         if any(s not in (1, -1) for s in sg):
             raise ValueError("character values must be +1 or -1")
         object.__setattr__(self, "signs", sg)

@@ -267,6 +267,8 @@ def _without(entry, key):
 
 
 GOLDEN_DEGREES = json.loads((GOLDEN / "build.json").read_text())["degrees"]
+GOLDEN_TRACE = json.loads(
+    (GOLDEN / "build.json").read_text())["denominator_trace"]
 BAD_LITERAL = ["1 * e(0)", "1 * e(("]
 ZERO_DENOMINATOR = ["1 * e(0)", "1/0 * e(1)"]
 NOT_UTF8 = b"\xff\xfe{}"
@@ -349,6 +351,12 @@ MALFORMED = {
         "verify", "--manifest",
         _manifest(t, degrees={**GOLDEN_DEGREES, "2": 7})],
         "manifest: degrees.2"),
+    "verify-trace-number": (lambda t: [
+        "verify", "--manifest", _manifest(t, denominator_trace=5)],
+        "manifest: denominator_trace"),
+    "verify-trace-entry-number": (lambda t: [
+        "verify", "--manifest", _manifest(t, denominator_trace=[
+            *GOLDEN_TRACE[:-1], 6])], "manifest: denominator_trace"),
     "build-generators-not-utf8": (lambda t: [
         "build", "--lattice", _lattice(t),
         "--generators", _write(t, "g.txt", NOT_UTF8),
@@ -424,6 +432,24 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
     assert main(make_argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: "), err
+
+
+@pytest.mark.parametrize("fields, detail", [
+    ({"denominator_trace": [*GOLDEN_TRACE[:-1], {"0": 1}]},
+     "denominator trace mismatch"),
+    ({"degrees": {**GOLDEN_DEGREES, "7": GOLDEN_DEGREES["1"]}},
+     "degree '7': outside 0..3"),
+    ({"degrees": {**GOLDEN_DEGREES, "x": GOLDEN_DEGREES["1"]}},
+     "degree 'x': outside 0..3"),
+    ({"denominator_trace": None}, None),
+], ids=["trace-differs", "degree-7", "degree-x", "no-trace"])
+def test_manifest_consistency_mismatch(tmp_path, capsys, fields, detail):
+    man = _manifest(tmp_path, **fields)
+    code = main(["verify", "--manifest", man, "--suite",
+                 "manifest-consistency", "--format", "json"])
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert (code, result.get("detail")) == (0 if detail is None else 3,
+                                            detail)
 
 
 class TestExitCodes:

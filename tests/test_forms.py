@@ -152,6 +152,13 @@ class TestSaturationMatchesItemLoop:
          ["1 * e(1,0)", "1 * e(-1,0)", "1 * e(0,1)", "1 * e(0,-1)"]),
         ([[2]], 3, ["1 * e(1) + 2 * e(-1)", "3 * h(1,-1) * e(0)",
                     "1 * h(1,-1)^2 * e(0) + 1 * h(1,-2) * e(0)"]),
+        # rescale_to_integral(standard_form, 1) at A1 cutoff 4: vac plus
+        # m = 2 times the degree-1 basis rows
+        ([[2]], 4, ["1 * e(0)", "2 * h(1,-1) * e(0)", "2 * e(-1)",
+                    "2 * e(1)"]),
+        # degrees 1 and 2 grow in pass 3 at the denominator they had at the
+        # start of pass 2, so some of their rows are not fresh
+        ([[2]], 4, ["2 * e(2)", "3 * e(-1)"]),
     ])
     def test_converged_forms(self, gram, cutoff, generators):
         V = TruncatedVOA(EvenLattice(gram), cutoff)

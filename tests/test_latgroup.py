@@ -46,6 +46,31 @@ class TestSignedAction:
         again = SignedAction.from_json(act.to_json())
         assert again.generators == act.generators
 
+    @pytest.mark.parametrize("data", [
+        {"dim": 1, "generators": [[-1.5]]},
+        {"dim": 1, "generators": [["-1"]]},
+        {"dim": 1, "generators": [[True]]},
+        {"dim": 1.5, "generators": []},
+    ])
+    def test_from_json_rejects_non_integers(self, data):
+        with pytest.raises(ValueError, match="not an integer"):
+            SignedAction.from_json(data)
+
+    def test_integral_floats_accepted(self):
+        act = SignedAction.from_json({"dim": 1.0, "generators": [[-1.0]]})
+        assert act.generators == (((-1,),),)
+        assert type(act.generators[0][0][0]) is int
+
+
+class TestCharacter:
+    @pytest.mark.parametrize("signs", [[True], [1.7], ["1"], [-1.0, 0.5]])
+    def test_rejects_non_integers(self, signs):
+        with pytest.raises(ValueError, match="not an integer"):
+            Character(signs)
+
+    def test_integral_floats_accepted(self):
+        assert Character([1.0, -1.0]).signs == (1, -1)
+
 
 class TestEigenlattice:
     def test_trivial_action(self):
