@@ -5,15 +5,13 @@ files into the library's construction and verification machinery.  Exit
 codes: 0 success / all checks pass, 1 malformed input or a usage error,
 2 saturation non-convergence (any subcommand; the per-pass growth trace
 goes to stderr), 3 verification failure.  Reports are deterministic for a
-fixed seed.  VOAFORMS_THREADS is validated (a positive integer) but
-selects nothing: all work runs on one thread.
+fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from contextlib import contextmanager
@@ -38,17 +36,6 @@ EXIT_VERIFY_FAIL = 3
 
 class InputError(Exception):
     """Malformed input; the message names the offending field."""
-
-
-def _check_threads() -> None:
-    """VOAFORMS_THREADS must be a positive integer; it selects nothing."""
-    raw = os.environ.get("VOAFORMS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"VOAFORMS_THREADS: not an integer: {raw!r}")
-    if n < 1:
-        raise InputError("VOAFORMS_THREADS: must be >= 1")
 
 
 @contextmanager
@@ -177,6 +164,11 @@ def _render_manifest_text(m: dict) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
+def _encode(value) -> str:
+    """JSON text of a value: 1, 1.0 and true differ here, unlike under ==."""
+    return json.dumps(value, sort_keys=True)
+
+
 def _suite_manifest_consistency(V, J, manifest):
     recorded = manifest.get("degrees", {})
     if not isinstance(recorded, dict):
@@ -206,12 +198,13 @@ def _suite_manifest_consistency(V, J, manifest):
             if key not in rec:
                 raise InputError(
                     f"manifest: degrees.{d}: missing field '{key}'")
-            if rec[key] != info[key]:
+            if _encode(rec[key]) != _encode(info[key]):
                 return False, f"degree {d}: {what} mismatch"
     extra = sorted(set(recorded) - {str(d) for d in range(V.cutoff + 1)})
     if extra:
         return False, f"degree {extra[0]!r}: outside 0..{V.cutoff}"
-    if has_trace and trace != built.get("denominator_trace"):
+    if has_trace and (_encode(trace)
+                      != _encode(built.get("denominator_trace"))):
         return False, "denominator trace mismatch"
     return True, None
 
@@ -641,7 +634,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _check_counts(args)
-        _check_threads()
         return args.fn(args)
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -467,38 +467,37 @@ class ZLattice:
         """Integer coordinates of ``vector`` in the canonical basis, or None."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong length")
-        den = self.den
-        w = []
-        for x in vector:
-            if isinstance(x, int):
-                w.append(x * den)
-                continue
-            if not isinstance(x, Fraction):
-                x = Fraction(x)
-            q, r = divmod(x.numerator * den, x.denominator)
-            if r:
-                return None
-            w.append(q)
-        return self.int_coordinates(w)
+        vector = [Fraction(x) for x in vector]
+        den = lcm(1, *(x.denominator for x in vector))
+        return self.int_coordinates(
+            {j: x.numerator * (den // x.denominator)
+             for j, x in enumerate(vector) if x}, den)
 
-    def int_coordinates(self, w: list) -> list | None:
+    def int_coordinates(self, w: dict, den: int) -> list | None:
         """Integer coordinates of ``w / den``, or None if it is not a member.
 
-        ``w`` is a list of ints over this lattice's denominator; it is
-        consumed.  Rows whose pivot entry of ``w`` is zero get coordinate
-        zero, and a row subtracts only at its stored nonzeros.
+        ``w`` maps columns to ints and is left unchanged; ``den`` is
+        positive.  With g = gcd(den, *w), self.den * w / den is integral
+        iff den / g divides self.den.  Rows whose pivot entry is zero get
+        coordinate zero, and a row subtracts only at its stored nonzeros.
         """
+        g = gcd(den, *w.values())
+        f, r = divmod(self.den, den // g)
+        if r:
+            return None
+        w = {j: x // g * f for j, x in w.items()}
         coords = [0] * len(self.nonzeros)
         for t, nz in enumerate(self.nonzeros):
             j, p = nz[0]
-            if w[j]:
-                q, r = divmod(w[j], p)
+            x = w.get(j)
+            if x:
+                q, r = divmod(x, p)
                 if r:
                     return None
                 coords[t] = q
-                for col, x in nz:
-                    w[col] -= q * x
-        if any(w):
+                for col, y in nz:
+                    w[col] = w.get(col, 0) - q * y
+        if any(w.values()):
             return None
         return coords
 
@@ -579,11 +578,9 @@ def quotient_invariants(a: ZLattice, b: ZLattice) -> list:
     """Elementary divisors of A/B for B <= A with equal rational span."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    # B <= A forces b.den | a.den (a.den * B lies in a.den * A, inside Z^n)
-    f, r = divmod(a.den, b.den)
     coords = []
-    for row in b.rows:
-        c = None if r else a.int_coordinates([x * f for x in row])
+    for nz in b.nonzeros:
+        c = a.int_coordinates(dict(nz), b.den)
         if c is None:
             raise NotSublatticeError("B is not contained in A")
         coords.append(c)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from voaforms.dihedral import FiniteAlgebra, trace_form
@@ -43,6 +43,7 @@ from voaforms.latgroup import (
     common_eigenlattice,
     eigenlattice,
     invariant_intersection,
+    preserves,
     tel_exponent_check,
 )
 from voaforms.voa import (
@@ -162,21 +163,6 @@ def _products_all_k(V: TruncatedVOA, u: list, v: list) -> dict:
     return out
 
 
-def _contains(lat: ZLattice, den: int, w: list) -> bool:
-    """Whether w / den lies in lat, for an integer row w and den > 0.
-
-    With g = gcd(den, *w), lat.den * w / den is integral iff den / g
-    divides lat.den; int_coordinates then finds its coordinates or not.
-    """
-    g = gcd(den, *w)
-    f, r = divmod(lat.den, den // g)
-    if r:
-        return False
-    if g > 1:
-        w = [x // g for x in w]
-    return lat.int_coordinates([x * f for x in w]) is not None
-
-
 def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                   gen_degree: int | None = None,
                   iter_bound: int = 50) -> TruncatedForm:
@@ -220,19 +206,21 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
 
     lattices: dict = {}
 
-    def try_add(d: int, den: int, w: list) -> None:
-        """Add w / den, a nonzero integer row over the degree-d basis."""
+    def try_add(d: int, den: int, w: dict) -> None:
+        """Add w / den, for w a {index: int} map over the degree-d basis."""
         lat = lattices.get(d)
         if lat is None:
             lat = ZLattice.zero(V.dim(d))
-        if not _contains(lat, den, w):
+        if lat.int_coordinates(w, den) is None:
+            row = [w.get(i, 0) for i in range(lat.ambient_dim)]
             lattices[d] = lattice_sum(
-                lat, ZLattice._from_ints(lat.ambient_dim, den, [w]))
+                lat, ZLattice._from_ints(lat.ambient_dim, den, [row]))
 
     for vec in [V.vacuum()] + gens:
         d, row = V.coords(vec)
         den = lcm(1, *(x.denominator for x in row))
-        try_add(d, den, [x.numerator * (den // x.denominator) for x in row])
+        try_add(d, den, {i: x.numerator * (den // x.denominator)
+                         for i, x in enumerate(row) if x})
 
     trace = []
     prev: dict = {}
@@ -241,11 +229,11 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         rows, fresh, new = {}, {}, {}
         for d, lat in start.items():
             basis = V.graded_basis(d)
-            rows[d] = [[(basis[j], x) for j, x in enumerate(r) if x]
-                       for r in lat.rows]
+            rows[d] = [[(basis[j], x) for j, x in nz] for nz in lat.nonzeros]
             old = prev.get(d)
-            fresh[d] = [old is None or not _contains(old, lat.den, r)
-                        for r in lat.rows]
+            fresh[d] = [old is None
+                        or old.int_coordinates(dict(nz), lat.den) is None
+                        for nz in lat.nonzeros]
             new[d] = [u for u, f in zip(rows[d], fresh[d]) if f]
         for da in sorted(start):
             if da == 0:
@@ -255,12 +243,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                 for u, fu in zip(rows[da], fresh[da]):
                     for v in rows[db] if fu else new[db]:
                         for k, acc in _products_all_k(V, u, v).items():
-                            d = da + db - k - 1
-                            w = [0] * V.dim(d)
-                            for i, c in acc.items():
-                                w[i] = c
-                            if any(w):
-                                try_add(d, den, w)
+                            try_add(da + db - k - 1, den, acc)
         trace.append({d: lattices[d].den for d in sorted(lattices)})
         if lattices == start:
             return TruncatedForm(V, lattices, [V.vacuum()] + gens,
@@ -767,13 +750,8 @@ class VOAAutomorphism:
         return hash(self.key())
 
     def preserves_form(self, J: TruncatedForm) -> bool:
-        for d in J.degrees():
-            lat = J.lattice(d)
-            mat = self.matrix(d)
-            for row in lat.rows:
-                if lat.int_coordinates(apply_matrix(mat, row)) is None:
-                    return False
-        return True
+        return all(preserves(J.lattice(d), [self.matrix(d)])
+                   for d in J.degrees())
 
 
 def negation_lift(V: TruncatedVOA) -> VOAAutomorphism:

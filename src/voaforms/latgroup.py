@@ -54,6 +54,14 @@ def apply_matrix(m: Sequence[Sequence], vector: Sequence) -> list:
     return [sum(row[j] * x for j, x in nonzero) for row in m]
 
 
+def preserves(lattice: ZLattice, matrices: Iterable) -> bool:
+    """Whether each integer matrix maps the lattice into itself."""
+    return all(
+        lattice.int_coordinates(dict(enumerate(apply_matrix(g, row))),
+                                lattice.den) is not None
+        for g in matrices for row in lattice.rows)
+
+
 class SignedAction:
     """Commuting integral involutions generating E of presented rank r."""
 
@@ -89,10 +97,6 @@ class SignedAction:
                     m = mat_mul(m, self.generators[i])
             out.append((mask, m))
         return out
-
-    def preserves(self, lattice: ZLattice) -> bool:
-        return all(lattice.int_coordinates(apply_matrix(g, row)) is not None
-                   for g in self.generators for row in lattice.rows)
 
     def to_json(self) -> dict:
         return {"dim": self.ambient_dim,
@@ -176,7 +180,7 @@ def eigenlattice(lattice: ZLattice, action: SignedAction,
     """Sublattice on which every generator acts by the character's sign."""
     if len(char.signs) != action.rank:
         raise ValueError("character length != action rank")
-    if not action.preserves(lattice):
+    if not preserves(lattice, action.generators):
         raise PreservationError("action does not preserve the lattice")
     return common_eigenlattice(lattice, action.generators, char.signs)
 
@@ -275,9 +279,6 @@ def invariant_intersection(lattice: ZLattice, matrices: Iterable,
     for g in group:
         inter = lattice_intersect(inter, image_lattice(g, lattice))
     e = quotient_exponent(lattice, inter)
-    for g in mats:
-        for row in inter.rows:
-            img = apply_matrix(g, row)
-            if inter.int_coordinates(img) is None:  # pragma: no cover
-                raise ActionError("intersection is not invariant")
+    if not preserves(inter, mats):  # pragma: no cover
+        raise ActionError("intersection is not invariant")
     return inter, e

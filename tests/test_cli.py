@@ -180,7 +180,7 @@ class TestReports:
 
 class TestDeterminism:
     def test_identical_reports_across_runs_and_threads(
-            self, tmp_path, a1_files, monkeypatch):
+            self, tmp_path, a1_files):
         man = build_manifest(tmp_path, a1_files)
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -189,24 +189,13 @@ class TestDeterminism:
                      "--format", "json", "-o", str(out1)]) == 0
         assert main(["verify", "--manifest", str(man), "--seed", "7",
                      "--format", "json", "-o", str(out2)]) == 0
-        monkeypatch.setenv("VOAFORMS_THREADS", "3")
         assert main(["dual", "--manifest", str(man), "--format", "json",
                      "-o", str(out3)]) == 0
-        monkeypatch.delenv("VOAFORMS_THREADS")
         out4 = tmp_path / "r4.json"
         assert main(["dual", "--manifest", str(man), "--format", "json",
                      "-o", str(out4)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out3.read_bytes() == out4.read_bytes()
-
-    @pytest.mark.parametrize("argv", [
-        ["dual", "--manifest", str(GOLDEN / "build.json")], ["dihedral2a"]],
-        ids=["dual", "dihedral2a"])
-    def test_thread_env_validated(self, monkeypatch, capsys, argv):
-        monkeypatch.setenv("VOAFORMS_THREADS", "zero")
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: VOAFORMS_THREADS: "), err
 
 
 class TestGolden:
@@ -442,7 +431,17 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
     ({"degrees": {**GOLDEN_DEGREES, "x": GOLDEN_DEGREES["1"]}},
      "degree 'x': outside 0..3"),
     ({"denominator_trace": None}, None),
-], ids=["trace-differs", "degree-7", "degree-x", "no-trace"])
+    ({"degrees": {**GOLDEN_DEGREES, "0": {**GOLDEN_DEGREES["0"],
+                                          "basis_rank": True}}},
+     "degree 0: rank mismatch"),
+    ({"degrees": {**GOLDEN_DEGREES, "0": {**GOLDEN_DEGREES["0"],
+                                          "li": 1.0}}},
+     "degree 0: li flag mismatch"),
+    ({"denominator_trace": [{**GOLDEN_TRACE[0], "0": True},
+                            *GOLDEN_TRACE[1:]]},
+     "denominator trace mismatch"),
+], ids=["trace-differs", "degree-7", "degree-x", "no-trace", "rank-true",
+        "li-float", "trace-entry-true"])
 def test_manifest_consistency_mismatch(tmp_path, capsys, fields, detail):
     man = _manifest(tmp_path, **fields)
     code = main(["verify", "--manifest", man, "--suite",

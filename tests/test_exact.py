@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -461,13 +462,23 @@ class TestSparseMembership:
         return out
 
     @staticmethod
-    def expected(a, w):
-        """Integer coordinates of w / den by the oracle, or None."""
-        sol = gauss_solve_left(a.basis_rows(), [Fraction(x, a.den)
-                                                for x in w])
+    def expected(a, w, den=None):
+        """Integer coordinates of w / den (den = a.den by default) by the
+        oracle, or None."""
+        den = den or a.den
+        sol = gauss_solve_left(a.basis_rows(), [Fraction(x, den) for x in w])
         if sol is None or any(x.denominator != 1 for x in sol):
             return None
         return [int(x) for x in sol]
+
+    @staticmethod
+    def combination(rng, a):
+        """(coords, w): up to two nonzero coordinates and w = coords @ rows."""
+        coords = [0] * a.rank
+        for i in rng.sample(range(a.rank), min(2, a.rank)):
+            coords[i] = rng.choice([-3, -1, 1, 2])
+        return coords, [sum(c * row[j] for c, row in zip(coords, a.rows))
+                        for j in range(a.ambient_dim)]
 
     def test_nonzeros_are_the_rows(self, lattices):
         for a in lattices:
@@ -480,13 +491,40 @@ class TestSparseMembership:
         rng = random.Random(5)
         for a in lattices:
             for _ in range(20):
-                coords = [0] * a.rank
-                for i in rng.sample(range(a.rank), min(2, a.rank)):
-                    coords[i] = rng.choice([-3, -1, 1, 2])
-                w = [sum(c * row[j] for c, row in zip(coords, a.rows))
-                     for j in range(a.ambient_dim)]
+                coords, w = self.combination(rng, a)
                 assert self.expected(a, w) == coords
-                assert a.int_coordinates(list(w)) == coords
+                sparse = {j: x for j, x in enumerate(w) if x}
+                assert a.int_coordinates(sparse, a.den) == coords
+                # the map is read, not consumed: try_add reuses it on a miss
+                assert sparse == {j: x for j, x in enumerate(w) if x}
+
+    @pytest.mark.parametrize("factor, member", [(6, True), (7, False)],
+                             ids=["common-factor", "denominator-not-dividing"])
+    def test_other_denominator(self, lattices, factor, member):
+        """w / den for den = factor * a.den, against the oracle.
+
+        A member scaled by the common factor stays a member; a combination
+        that 7 does not divide, over 7 * a.den, has a reduced denominator
+        that a.den is not a multiple of.
+        """
+        rng = random.Random(9)
+        seen = 0
+        for a in lattices:
+            for _ in range(10):
+                coords, w = self.combination(rng, a)
+                den = factor * a.den
+                if member:
+                    w = [factor * x for x in w]
+                elif gcd(factor, *w) != 1:
+                    continue
+                assert (a.den % (den // gcd(den, *w)) == 0) == member
+                want = self.expected(a, w, den)
+                assert want == (coords if member else None)
+                snapshot = dict(enumerate(w))
+                assert a.int_coordinates(snapshot, den) == want
+                assert snapshot == dict(enumerate(w))
+                seen += 1
+        assert seen > 10
 
     def test_off_pivot_vectors_are_not_members(self, lattices):
         seen = 0
@@ -497,7 +535,8 @@ class TestSparseMembership:
                     w = [x if i in free else 0 for i, x in enumerate(w)]
                     w[j] = 7
                     assert self.expected(a, w) is None
-                    assert a.int_coordinates(w) is None
+                    assert a.int_coordinates(dict(enumerate(w)),
+                                             a.den) is None
                     seen += 1
         assert seen > 10
 
@@ -510,7 +549,7 @@ class TestSparseMembership:
                 w = [x * 3 for x in row]
                 w[j] += 1
                 assert self.expected(a, w) is None
-                assert a.int_coordinates(list(w)) is None
+                assert a.int_coordinates(dict(enumerate(w)), a.den) is None
                 seen += 1
         assert seen > 10
 
