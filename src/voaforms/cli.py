@@ -105,8 +105,11 @@ def _emit(payload: dict, fmt: str, output: str | None,
         body = text_renderer(payload) if text_renderer else \
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as e:
+            raise InputError(f"output: cannot write {output}: {e}")
     else:
         sys.stdout.write(body)
 

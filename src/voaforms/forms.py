@@ -47,12 +47,11 @@ from voaforms.latgroup import (
     tel_exponent_check,
 )
 from voaforms.voa import (
-    INDEX_BITS,
-    INDEX_MASK,
     EvenLattice,
     GradedVector,
     NotHomogeneousError,
     TruncatedVOA,
+    _products_all_k,
 )
 
 
@@ -116,10 +115,6 @@ class TruncatedForm:
     def degrees(self) -> list:
         return sorted(self.lattices)
 
-    def basis_vectors(self, degree: int) -> list:
-        return [self.host.vector_from_coords(degree, row)
-                for row in self.lattice(degree).basis_rows()]
-
     def contains(self, v: GradedVector) -> bool:
         for d, comp in self.host.homogeneous_components(v).items():
             _, row = self.host.coords(comp)
@@ -142,26 +137,6 @@ class TruncatedForm:
 # ---------------------------------------------------------------------------
 # generation by saturation
 # ---------------------------------------------------------------------------
-
-def _products_all_k(V: TruncatedVOA, u: list, v: list) -> dict:
-    """{k: {target index: num}} for all products u_k v below the cutoff.
-
-    u and v are sparse int rows [(monomial, x)] over den_u and den_v; num
-    is over den_u * den_v * V.product_den and may be zero.
-    """
-    out: dict = {}
-    for m1, x in u:
-        for m2, y in v:
-            xy = x * y
-            for k, bucket in V.pair_products(m1, m2).items():
-                tgt = out.get(k)
-                if tgt is None:
-                    tgt = out[k] = {}
-                for p in bucket:
-                    i = p & INDEX_MASK
-                    tgt[i] = tgt.get(i, 0) + xy * (p >> INDEX_BITS)
-    return out
-
 
 def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                   gen_degree: int | None = None,
@@ -203,6 +178,9 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     elif max_gen_degree > gen_degree:
         raise PreconditionError(
             f"generator of degree {max_gen_degree} exceeds bound {gen_degree}")
+    elif gen_degree > V.cutoff:
+        raise PreconditionError(
+            f"gen_degree {gen_degree} exceeds cutoff {V.cutoff}")
 
     lattices: dict = {}
 
@@ -217,10 +195,9 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                 lat, ZLattice._from_ints(lat.ambient_dim, den, [row]))
 
     for vec in [V.vacuum()] + gens:
-        d, row = V.coords(vec)
-        den = lcm(1, *(x.denominator for x in row))
-        try_add(d, den, {i: x.numerator * (den // x.denominator)
-                         for i, x in enumerate(row) if x})
+        den, rows = V.int_rows(vec)
+        [(d, row)] = rows.items()
+        try_add(d, den, {V.basis_index(d)[m]: x for m, x in row})
 
     trace = []
     prev: dict = {}
@@ -399,40 +376,39 @@ def _degree_dual(J: TruncatedForm, d: int) -> ZLattice:
 
 def dual_stability_check(J: TruncatedForm, n: int,
                          return_witness: bool = False):
-    """Whether (1/n!) L(1)^n maps each degree's dual into the lower dual."""
+    """Whether (1/n!) L(1)^n maps each degree's dual into the lower dual.
+
+    L(1) = omega_2 acts on each dual row's int nonzeros, n times.
+    """
     if _missing_vacuum(J):
         raise PreconditionError("the vacuum does not lie in the form")
     V = J.host
     duals = dual_form(J)
-    fac = 1
+    wden, omega = V.int_rows(V.virasoro_element())
+    omega = omega[2]
+    scale = 1  # n! (wden * product_den)^n: the image is over lat.den * scale
     for i in range(1, n + 1):
-        fac *= i
-    for s in duals.degrees():
-        tgt = s - n
-        for row in duals.lattice(s).basis_rows():
-            u = V.vector_from_coords(s, row)
-            cur = u
-            for _ in range(n):
-                cur = V.L_apply(1, cur)
-            cur = cur.scale(Fraction(1, fac))
-            if cur.is_zero():
+        scale *= i * wden * V.product_den
+    for s in [d for d in duals.degrees() if d >= n]:  # the rest map to 0
+        lat = duals.lattice(s)
+        target = duals.lattices.get(s - n)
+        for t, nz in enumerate(lat.nonzeros):
+            img = dict(nz)
+            for d in range(s, s - n, -1):
+                basis = V.graded_basis(d)
+                u = [(basis[j], x) for j, x in img.items()]
+                img = _products_all_k(V, omega, u).get(2, {})
+            if not any(img.values()):
                 continue
-            _, out_row = V.coords(cur)
-            target = duals.lattices.get(tgt)
-            ok = target is not None and out_row in target
-            if not ok:
-                if return_witness:
-                    return False, (s, row)
-                return False
-    if return_witness:
-        return True, None
-    return True
+            if target is None or \
+                    target.int_coordinates(img, lat.den * scale) is None:
+                return (False, (s, lat.basis_row(t))) if return_witness \
+                    else False
+    return (True, None) if return_witness else True
 
 
 def _missing_vacuum(J: TruncatedForm) -> bool:
-    V = J.host
-    _, vac_row = V.coords(V.vacuum())
-    return vac_row not in J.lattice(0)
+    return J.lattice(0).int_coordinates({0: 1}, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +427,15 @@ def closure_sample(J: TruncatedForm, samples: int = 200, seed: int = 0):
     if not degs:
         return True, None
     for _ in range(samples):
-        da = rng.choice(degs)
-        db = rng.choice(degs)
-        ia = rng.randrange(J.rank(da))
-        ib = rng.randrange(J.rank(db))
-        kmin = da + db - 1 - V.cutoff
-        kmax = da + db - 1
-        k = rng.randint(kmin, kmax)
-        u = V.vector_from_coords(da, J.lattice(da).basis_row(ia))
-        v = V.vector_from_coords(db, J.lattice(db).basis_row(ib))
-        prod = V.vertex_product(u, k, v)
-        if not J.contains(prod):
+        da, db = rng.choice(degs), rng.choice(degs)
+        ia, ib = rng.randrange(J.rank(da)), rng.randrange(J.rank(db))
+        k = rng.randint(da + db - 1 - V.cutoff, da + db - 1)
+        la, lb = J.lattice(da), J.lattice(db)
+        u = [(V.graded_basis(da)[j], x) for j, x in la.nonzeros[ia]]
+        v = [(V.graded_basis(db)[j], x) for j, x in lb.nonzeros[ib]]
+        w = _products_all_k(V, u, v).get(k, {})
+        den = la.den * lb.den * V.product_den
+        if J.lattice(da + db - k - 1).int_coordinates(w, den) is None:
             return False, (da, ia, db, ib, k)
     return True, None
 
@@ -489,9 +463,7 @@ def scaled_with_vacuum(J: TruncatedForm, m: int,
         raise PreconditionError(
             f"m*J is not integral at degree {d}: entry ({i},{j}) = {val}")
     lats = {d: scaled.lattice(d) for d in scaled.degrees()}
-    _, vac_row = V.coords(V.vacuum())
-    lats[0] = lattice_sum(lats.get(0, ZLattice.zero(1)),
-                          ZLattice.from_rows(1, [vac_row]))
+    lats[0] = lattice_sum(lats.get(0, ZLattice.zero(1)), ZLattice.standard(1))
     out = TruncatedForm(V, lats,
                         [V.vacuum()] + [g.scale(m) for g in J.generators],
                         J.gen_degree)
@@ -888,19 +860,18 @@ def degree_mode_matrices(J: TruncatedForm, degree: int) -> list:
     k-th coordinate of x_{degree-1} (basis_j).
     """
     V = J.host
-    basis = J.basis_vectors(degree)
     lat = J.lattice(degree)
-    dim = len(basis)
+    basis = V.graded_basis(degree)
+    rows = [[(basis[j], x) for j, x in nz] for nz in lat.nonzeros]
+    den = lat.den * lat.den * V.product_den
+    dim = len(rows)
     mats = []
-    for x in basis:
+    for u in rows:
         cols = []
-        for y in basis:
-            prod = V.vertex_product(x, degree - 1, y)
-            if prod.is_zero():
-                cols.append([Fraction(0)] * dim)
-                continue
-            _, coords = V.coords(prod)
-            cols.append(_span_coords(lat, coords))
+        for v in rows:
+            w = _products_all_k(V, u, v).get(degree - 1, {})
+            cols.append(_span_coords(lat, w, den) if any(w.values())
+                        else [Fraction(0)] * dim)
         mats.append(QMatrix(dim, dim, [cols[j][k] for k in range(dim)
                                        for j in range(dim)]))
     return mats
@@ -988,17 +959,15 @@ def manifest_generators(V: TruncatedVOA, data: dict) -> list:
     return [V.parse_element(s) for s in gens]
 
 
-def _span_coords(lat: ZLattice, vector) -> list:
-    """Rational coordinates of vector in the lattice's basis.
+def _span_coords(lat: ZLattice, w: dict, den: int) -> list:
+    """Rational coordinates of w / den, w a {column: int} map, in lat's basis.
 
-    The basis rows are independent, so the rows stacked with the vector
-    have a kernel of rank one exactly when the vector lies in their span.
+    The basis rows are independent, so the rows stacked with w have a
+    kernel of rank one exactly when w lies in their span.
     """
-    w = [Fraction(x) * lat.den for x in vector]
-    scale = lcm(1, *(x.denominator for x in w))
-    ker = kernel_int(list(lat.rows) + [[int(x * scale) for x in w]],
-                     lat.ambient_dim)
+    row = [w.get(j, 0) for j in range(lat.ambient_dim)]
+    ker = kernel_int(list(lat.rows) + [row], lat.ambient_dim)
     if not ker:
         raise FormError("product left the rational span of the piece")
     *y, c = ker[0]
-    return [Fraction(-x, c * scale) for x in y]
+    return [Fraction(-x * lat.den, c * den) for x in y]

@@ -232,7 +232,7 @@ def idempotent_project(vector: Sequence, action: SignedAction,
 
 def image_lattice(matrix: Sequence[Sequence], lattice: ZLattice) -> ZLattice:
     """The lattice g.L for an invertible rational matrix g."""
-    mden = lcm(1, *(Fraction(x).denominator for row in matrix for x in row))
+    mden = lcm(1, *(x.denominator for row in matrix for x in row))
     mint = [[int(x * mden) for x in row] for row in matrix]
     return ZLattice._from_ints(lattice.ambient_dim, lattice.den * mden,
                                [apply_matrix(mint, r) for r in lattice.rows])

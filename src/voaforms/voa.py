@@ -9,7 +9,9 @@ the canonical quadratic element.
 
 The product kernel runs on ints: ``pair_products`` gives integer tables
 over (N!)^2 at cutoff N, one per ordered monomial pair, each bucket a
-tuple of packed ints (num << INDEX_BITS) | index.  It merges expansion
+tuple of packed ints (num << INDEX_BITS) | index that only
+``_products_all_k`` decodes: ``vertex_product`` and every product test of
+the form layer multiply int rows through it.  The kernel merges expansion
 states that coincide (many paths through the left modes reach the same
 z-power and modes), and memoizes the creation exponential per (modes,
 alpha, tau) as basis-index lists, so assembly only adds integer products
@@ -255,6 +257,26 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _products_all_k(V: "TruncatedVOA", u: list, v: list) -> dict:
+    """{k: {target index: num}} for all products u_k v below the cutoff.
+
+    u and v are sparse int rows [(monomial, x)] over den_u and den_v; num
+    is over den_u * den_v * V.product_den and may be zero.
+    """
+    out: dict = {}
+    for m1, x in u:
+        for m2, y in v:
+            xy = x * y
+            for k, bucket in V.pair_products(m1, m2).items():
+                tgt = out.get(k)
+                if tgt is None:
+                    tgt = out[k] = {}
+                for p in bucket:
+                    i = p & INDEX_MASK
+                    tgt[i] = tgt.get(i, 0) + xy * (p >> INDEX_BITS)
+    return out
+
+
 class TruncatedVOA:
     """Lattice VOA truncated at a maximum degree, with exact products."""
 
@@ -274,7 +296,6 @@ class TruncatedVOA:
         self._ecreate = {}
         self._tails = {}
         self._heis = {}
-        self._pairform = {}
         self._formmat = {}
         self._omega = None
         self._l1_chain = {}
@@ -426,7 +447,7 @@ class TruncatedVOA:
         A bucket is a tuple of ints (num << INDEX_BITS) | index, one per
         nonzero term, sorted by index: num / product_den is the coefficient
         of graded_basis(target)[index] in ma_k mb, for target = deg(ma) +
-        deg(mb) - k - 1.  Decode with p >> INDEX_BITS and p & INDEX_MASK.
+        deg(mb) - k - 1.  Only _products_all_k decodes them.
         Much of the library reduces to this kernel; results are memoized
         per ordered monomial pair.
 
@@ -561,36 +582,36 @@ class TruncatedVOA:
         self._ecreate[key] = out
         return out
 
+    def int_rows(self, v: GradedVector):
+        """(den, {degree: [(monomial, int)]}) with v the rows over den."""
+        den = lcm(1, *(c.denominator for c in v.terms.values()))
+        rows: dict = {}
+        for m, c in v.terms.items():
+            rows.setdefault(self.mono_degree(m), []).append(
+                (m, c.numerator * (den // c.denominator)))
+        return den, rows
+
     def vertex_product(self, a: GradedVector, k: int,
                        b: GradedVector) -> GradedVector:
         """The product a_k b; a degree above the cutoff raises."""
-        # integer numerators over aden * bden * product_den, per target
-        aden = lcm(1, *(c.denominator for c in a.terms.values()))
-        bden = lcm(1, *(c.denominator for c in b.terms.values()))
+        aden, arows = self.int_rows(a)
+        bden, brows = self.int_rows(b)
         acc: dict = {}
-        for m1, c1 in a.terms.items():
-            d1 = self.mono_degree(m1)
-            x = c1.numerator * (aden // c1.denominator)
-            for m2, c2 in b.terms.items():
-                d2 = self.mono_degree(m2)
-                target = d1 + d2 - k - 1
+        for da, u in arows.items():
+            for db, v in brows.items():
+                target = da + db - k - 1
                 if target > self.cutoff:
                     raise CutoffExceededError(
                         f"a_{k} b has degree {target} > cutoff {self.cutoff}")
                 if target < 0:
                     continue
-                bucket = self.pair_products(m1, m2).get(k)
-                if not bucket:
-                    continue
-                xy = x * c2.numerator * (bden // c2.denominator)
                 row = acc.setdefault(target, {})
-                for p in bucket:
-                    i = p & INDEX_MASK
-                    row[i] = row.get(i, 0) + xy * (p >> INDEX_BITS)
+                for i, c in _products_all_k(self, u, v).get(k, {}).items():
+                    row[i] = row.get(i, 0) + c
         den = aden * bden * self.product_den
         out = {}
         for target, row in acc.items():
-            basis = self._bases[target]
+            basis = self.graded_basis(target)
             for i, c in row.items():
                 if c:
                     out[basis[i]] = Fraction(c, den)
@@ -618,19 +639,12 @@ class TruncatedVOA:
         return total
 
     def pair_form(self, ma: FockMonomial, mb: FockMonomial) -> int:
-        key = (ma, mb)
-        hit = self._pairform.get(key)
-        if hit is None:
-            if any(a + b for a, b in zip(ma.tail, mb.tail)):
-                hit = 0
-            else:
-                neg = tuple(-t for t in ma.tail)
-                s = self.epsilon(ma.tail, neg)
-                if (self.lattice.norm(ma.tail) // 2) % 2:
-                    s = -s
-                hit = s * self._heis_pair(ma.modes, mb.modes)
-            self._pairform[key] = hit
-        return hit
+        if any(a + b for a, b in zip(ma.tail, mb.tail)):
+            return 0
+        s = self.epsilon(ma.tail, tuple(-t for t in ma.tail))
+        if (self.lattice.norm(ma.tail) // 2) % 2:
+            s = -s
+        return s * self._heis_pair(ma.modes, mb.modes)
 
     def bilinear_form(self, u: GradedVector, v: GradedVector) -> Fraction:
         total = Fraction(0)

@@ -405,6 +405,14 @@ MALFORMED = {
     "verify-gen-degree-fraction": (lambda t: [
         "verify", "--manifest", _manifest(t, gen_degree=1.5)],
         "manifest: gen_degree"),
+    "output-missing-directory": (lambda t: [
+        "dihedral2a", "-o", str(t / "no" / "x.json")], "output"),
+    "output-directory": (lambda t: ["dihedral2a", "-o", str(t)], "output"),
+    "rescale-manifest-gen-degree-above-cutoff": (lambda t: [
+        "rescale", "--manifest", _manifest(t, gen_degree=9)], "manifest"),
+    "verify-gen-degree-above-cutoff": (lambda t: [
+        "verify", "--manifest", _manifest(t, gen_degree=9),
+        "--suite", "rescale"], "manifest"),
     **{f"{command}-iter-bound-0": (lambda t, command=command: [
         command, "--manifest", str(GOLDEN / "build.json"),
         "--iter-bound", "0"]

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -73,6 +75,10 @@ class TestGenerateForm:
     def test_gen_degree_bound_enforced(self, v4):
         with pytest.raises(PreconditionError):
             fm.generate_form(v4, egens(v4), gen_degree=0)
+
+    def test_gen_degree_above_cutoff_rejected(self, v4):
+        with pytest.raises(PreconditionError):
+            fm.generate_form(v4, [], gen_degree=v4.cutoff + 1)
 
     def test_divergent_generators_error_with_trace(self, v4):
         bad = [v4.monomial_vector([], [1], F(1, 2)),
@@ -683,3 +689,59 @@ class TestDegreeTraceForm:
         alg = fm.degree_algebra(j, 0)
         assert alg.dim == 1
         assert alg.constants[0][0][0] == 1
+
+
+def _closure_reference(J, seed, samples=200):
+    """closure_sample's draws, each product tested with vertex_product."""
+    V = J.host
+    rng = random.Random(seed)
+    degs = J.degrees()
+    for _ in range(samples):
+        da, db = rng.choice(degs), rng.choice(degs)
+        ia, ib = rng.randrange(J.rank(da)), rng.randrange(J.rank(db))
+        k = rng.randint(da + db - 1 - V.cutoff, da + db - 1)
+        u = V.vector_from_coords(da, J.lattice(da).basis_row(ia))
+        v = V.vector_from_coords(db, J.lattice(db).basis_row(ib))
+        if not J.contains(V.vertex_product(u, k, v)):
+            return False, (da, ia, db, ib, k)
+    return True, None
+
+
+def _dual_stability_reference(J, n):
+    """dual_stability_check with L(1) applied by L_apply on vectors."""
+    V = J.host
+    duals = fm.dual_form(J)
+    for s in duals.degrees():
+        for row in duals.lattice(s).basis_rows():
+            cur = V.vector_from_coords(s, row)
+            for _ in range(n):
+                cur = V.L_apply(1, cur)
+            if cur.is_zero():
+                continue
+            _, out = V.coords(cur.scale(F(1, factorial(n))))
+            target = duals.lattices.get(s - n)
+            if target is None or out not in target:
+                return False, (s, row)
+    return True, None
+
+
+@pytest.mark.parametrize("scaling", [None, (1, F(1, 2)), (2, F(1, 3))],
+                         ids=["unscaled", "deg1-half", "deg2-third"])
+@pytest.mark.parametrize("host", ["a1n4", "a2n3"])
+def test_product_checks_match_vector_references(request, host, scaling):
+    """closure_sample and dual_stability_check against vector references."""
+    if host == "a1n4":
+        J = request.getfixturevalue("j4")
+    else:
+        _, J = request.getfixturevalue("a2n3_standard")
+    if scaling is not None:
+        J = J.with_scaled_degree(*scaling)
+    closure = [fm.closure_sample(J, seed=seed) for seed in range(30)]
+    assert closure == [_closure_reference(J, seed) for seed in range(30)]
+    stability = [fm.dual_stability_check(J, n, return_witness=True)
+                 for n in range(J.host.cutoff + 2)]
+    assert stability == [_dual_stability_reference(J, n)
+                         for n in range(J.host.cutoff + 2)]
+    # the scaled forms are neither closed nor dual-stable, and both show it
+    assert all(ok for ok, _ in closure) == (scaling is None)
+    assert all(ok for ok, _ in stability) == (scaling is None)

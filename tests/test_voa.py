@@ -128,6 +128,22 @@ class TestVertexProduct:
         rhs = a1.vertex_product(eg, 0, b).scale(3) + a1.vertex_product(h, 0, b)
         assert lhs == rhs
 
+    def test_inhomogeneous_is_sum_of_components(self, a1):
+        a = a1.vacuum().scale(F(1, 3)) + mono(a1, [(1, 0)], [0], 2) + \
+            mono(a1, [], [1], F(1, 2))
+        b = mono(a1, [], [-1], F(3, 4)) + mono(a1, [(2, 0)], [0], F(-1, 5))
+        assert len(a1.degrees_of(a)) == 2 and len(a1.degrees_of(b)) == 2
+        mixed = 0
+        for k in range(-3, 3):
+            want = GradedVector({}, a1.cutoff)
+            for u in a1.homogeneous_components(a).values():
+                for v in a1.homogeneous_components(b).values():
+                    want = want + a1.vertex_product(u, k, v)
+            got = a1.vertex_product(a, k, b)
+            assert got == want
+            mixed += len(a1.degrees_of(got)) > 1
+        assert mixed
+
     def test_cutoff_error_and_drop(self, a1):
         top = mono(a1, [(6, 0)], [0])
         with pytest.raises(CutoffExceededError):
