@@ -46,7 +46,8 @@ def _input_errors(what: str):
     except fm.SaturationError:
         raise
     except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{what}: {e}")
+        missing = "missing field " if isinstance(e, KeyError) else ""
+        raise InputError(f"{what}: {missing}{e}")
 
 
 def _read_text(path: str, what: str) -> str:

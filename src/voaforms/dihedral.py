@@ -116,9 +116,15 @@ def ad_matrix(algebra: FiniteAlgebra, x: Sequence) -> QMatrix:
 
 
 def trace_form(mats: Sequence[QMatrix]) -> QMatrix:
-    """Gram matrix of (i, j) -> Tr(M_i M_j) for square matrices M_i."""
+    """Gram matrix of (i, j) -> Tr(M_i M_j) = sum of M_i[a][b] M_j[b][a]."""
     n = len(mats)
-    return QMatrix(n, n, [(mi @ mj).trace() for mi in mats for mj in mats])
+    flipped = [m.transpose().entries for m in mats]
+    out = [Fraction(0)] * (n * n)
+    for i, mi in enumerate(mats):
+        for j in range(i, n):
+            out[i * n + j] = out[j * n + i] = sum(
+                x * y for x, y in zip(mi.entries, flipped[j]) if x and y)
+    return QMatrix(n, n, out)
 
 
 def killing_form(algebra: FiniteAlgebra) -> QMatrix:

@@ -14,7 +14,7 @@ of its inputs and may be evaluated concurrently without coordination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -376,7 +376,7 @@ class ZLattice:
     idempotent, so equality is structural equality of the stored data.
     """
 
-    __slots__ = ("ambient_dim", "den", "rows", "pivots", "nonzeros")
+    __slots__ = ("ambient_dim", "den", "rows", "pivots", "row_of", "nonzeros")
 
     def __init__(self, ambient_dim: int, den: int, rows: tuple) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -388,6 +388,8 @@ class ZLattice:
                          for row in rows)
         object.__setattr__(self, "nonzeros", nonzeros)
         object.__setattr__(self, "pivots", tuple(nz[0][0] for nz in nonzeros))
+        object.__setattr__(self, "row_of",
+                           {j: t for t, j in enumerate(self.pivots)})
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("ZLattice is immutable")
@@ -400,10 +402,7 @@ class ZLattice:
             if len(row) != ambient_dim:
                 raise DimensionMismatchError(
                     f"row length {len(row)} != ambient_dim {ambient_dim}")
-        den = 1
-        for row in rational:
-            for x in row:
-                den = lcm(den, x.denominator)
+        den = lcm(1, *(x.denominator for row in rational for x in row))
         return cls._from_ints(ambient_dim, den, [
             [int(x * den) for x in row] for row in rational])
 
@@ -478,27 +477,35 @@ class ZLattice:
 
         ``w`` maps columns to ints and is left unchanged; ``den`` is
         positive.  With g = gcd(den, *w), self.den * w / den is integral
-        iff den / g divides self.den.  Rows whose pivot entry is zero get
-        coordinate zero, and a row subtracts only at its stored nonzeros.
+        iff den / g divides self.den.  The least live column j of the
+        rescaled copy is skipped if zero, and otherwise must be the pivot of
+        a row, whose coordinate it fixes and whose other nonzeros (right of
+        j) are subtracted.  Pivots increase strictly, so j is reached once
+        every row with a smaller pivot is subtracted, as in row order; a
+        nonzero at a non-pivot column can never be cleared, and rows whose
+        pivot is never reached keep coordinate zero.
         """
         g = gcd(den, *w.values())
         f, r = divmod(self.den, den // g)
         if r:
             return None
-        w = {j: x // g * f for j, x in w.items()}
+        w = {j: x // g * f for j, x in w.items() if x}
         coords = [0] * len(self.nonzeros)
-        for t, nz in enumerate(self.nonzeros):
-            j, p = nz[0]
-            x = w.get(j)
-            if x:
-                q, r = divmod(x, p)
-                if r:
-                    return None
-                coords[t] = q
-                for col, y in nz:
-                    w[col] = w.get(col, 0) - q * y
-        if any(w.values()):
-            return None
+        while w:
+            j = min(w)
+            x = w.pop(j)
+            if not x:
+                continue
+            t = self.row_of.get(j)
+            if t is None:
+                return None
+            nz = self.nonzeros[t]
+            q, r = divmod(x, nz[0][1])
+            if r:
+                return None
+            coords[t] = q
+            for col, y in nz[1:]:
+                w[col] = w.get(col, 0) - q * y
         return coords
 
     def __contains__(self, vector) -> bool:
@@ -599,11 +606,7 @@ def quotient_exponent(a: ZLattice, b: ZLattice) -> int:
 
 def quotient_index(a: ZLattice, b: ZLattice) -> int:
     """Index [A : B] for B <= A with equal rational span."""
-    inv = quotient_invariants(a, b)
-    out = 1
-    for d in inv:
-        out *= d
-    return out
+    return prod(quotient_invariants(a, b))
 
 
 def membership(vector: Sequence, a: ZLattice) -> bool:

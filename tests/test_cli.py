@@ -431,6 +431,13 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
     assert err.startswith(f"error: {field}: "), err
 
 
+def test_missing_manifest_field_is_named(tmp_path, capsys):
+    man = _manifest(tmp_path, lattice=None)
+    assert main(["verify", "--manifest", man]) == 1
+    assert capsys.readouterr().err == \
+        "error: manifest: missing field 'lattice'\n"
+
+
 @pytest.mark.parametrize("fields, detail", [
     ({"denominator_trace": [*GOLDEN_TRACE[:-1], {"0": 1}]},
      "denominator trace mismatch"),

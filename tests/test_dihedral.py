@@ -11,6 +11,7 @@ from voaforms.dihedral import (
     is_associative_form,
     killing_form,
     proportionality_check,
+    trace_form,
 )
 
 AD_A = [[1, F(1, 8), F(1, 8)],
@@ -133,6 +134,15 @@ class TestKilling:
     def test_one_dimensional(self):
         alg1 = FiniteAlgebra(("x",), [[[1]]], [[1]])
         assert killing_form(alg1) == QMatrix.from_rows([[1]])
+
+    def test_trace_form_of_unrelated_matrices(self):
+        # no algebra behind them: rational, not symmetric, with zeros
+        mats = [QMatrix.from_rows(AD_A), QMatrix.from_rows(AD_B),
+                QMatrix.from_rows([[F(2, 3), -1, 0], [0, 0, 5], [1, 0, 0]])]
+        n = len(mats)
+        assert trace_form(mats) == QMatrix(n, n, [
+            (mi @ mj).trace() for mi in mats for mj in mats])
+        assert trace_form([]) == QMatrix(0, 0, [])
 
 
 class TestAssociativity:

@@ -443,23 +443,32 @@ class TestCoordinates:
                     a.coordinates(v)
 
 
+def standard_form_lattices(gram, cutoff):
+    """Each degree's lattice of the standard form and, where the rank is
+    above 2, the sublattice of every other row (it has non-pivot columns)."""
+    from voaforms.forms import standard_form
+    from voaforms.voa import EvenLattice, TruncatedVOA
+    J = standard_form(TruncatedVOA(EvenLattice(gram), cutoff))
+    out = []
+    for d in J.degrees():
+        a = J.lattice(d)
+        out.append(a)
+        if a.rank > 2:
+            out.append(ZLattice._from_ints(a.ambient_dim, a.den,
+                                           a.rows[::2]))
+    return out
+
+
 class TestSparseMembership:
     """int_coordinates on standard-form lattices against Gauss-Jordan."""
 
     @pytest.fixture(scope="class")
     def lattices(self):
-        from voaforms.forms import standard_form
-        from voaforms.voa import EvenLattice, TruncatedVOA
-        J = standard_form(TruncatedVOA(EvenLattice([[2]]), 5))
-        out = []
-        for d in J.degrees():
-            a = J.lattice(d)
-            out.append(a)
-            if a.rank > 2:
-                # every other row: a sublattice with non-pivot columns
-                out.append(ZLattice._from_ints(a.ambient_dim, a.den,
-                                               a.rows[::2]))
-        return out
+        return standard_form_lattices([[2]], 5)
+
+    @pytest.fixture(scope="class")
+    def a2_lattices(self):
+        return standard_form_lattices([[2, -1], [-1, 2]], 3)
 
     @staticmethod
     def expected(a, w, den=None):
@@ -486,6 +495,7 @@ class TestSparseMembership:
                 tuple((j, x) for j, x in enumerate(row) if x)
                 for row in a.rows)
             assert a.pivots == tuple(nz[0][0] for nz in a.nonzeros)
+            assert a.row_of == {j: t for t, j in enumerate(a.pivots)}
 
     def test_sparse_members(self, lattices):
         rng = random.Random(5)
@@ -552,6 +562,71 @@ class TestSparseMembership:
                 assert a.int_coordinates(dict(enumerate(w)), a.den) is None
                 seen += 1
         assert seen > 10
+
+    def test_a2_charge_blocks(self, a2_lattices):
+        """The checks above on A2 at cutoff 3.  Its charge blocks hold
+        several rows, and some row has a nonzero at a later pivot, so the
+        column-order reduction reaches that pivot only after subtracting."""
+        assert any(j in a.row_of for a in a2_lattices
+                   for nz in a.nonzeros for j, _ in nz[1:])
+        self.test_nonzeros_are_the_rows(a2_lattices)
+        self.test_sparse_members(a2_lattices)
+        self.test_other_denominator(a2_lattices, 6, True)
+        self.test_other_denominator(a2_lattices, 7, False)
+        self.test_off_pivot_vectors_are_not_members(a2_lattices)
+        self.test_remainder_at_a_pivot(a2_lattices)
+
+    def test_random_lattices(self):
+        """Seeded random lattices with den > 1 and rank below the dimension.
+
+        Each w goes in as a dict with shuffled keys and explicit zeros, so a
+        reduction that follows insertion order or takes a zero for a live
+        column goes wrong.  Non-members: a nonzero past the last pivot, and
+        a member with one non-pivot entry cleared, which leaves a nonzero at
+        that column once the rows with smaller pivots are subtracted.
+        """
+        rng = random.Random(13)
+        seen = dict.fromkeys(["member", "past-last", "between"], 0)
+        for _ in range(150):
+            dim = rng.randint(3, 7)
+            rows = [[rng.choice([0, 0, 0, 1, -1, 2, 3, -4])
+                     for _ in range(dim)]
+                    for _ in range(rng.randint(2, dim - 1))]
+            # a column that is a multiple of the one before holds no pivot
+            col = rng.randrange(1, dim - 1)
+            for row in rows:
+                row[col] = 2 * row[col - 1]
+            a = ZLattice._from_ints(dim, rng.choice([2, 3, 6]), rows)
+            if a.den == 1 or not 0 < a.rank < dim:
+                continue
+            for t, nz in enumerate(a.nonzeros):
+                # a single row touches no other row's coordinate
+                want = [int(i == t) for i in range(a.rank)]
+                assert a.int_coordinates(dict(nz), a.den) == want
+            coords = [rng.choice([0, 0, 1, -2, 3]) for _ in range(a.rank)]
+            w = [sum(c * row[j] for c, row in zip(coords, a.rows))
+                 for j in range(dim)]
+            cases = [("member", w)]
+            if a.pivots[-1] < dim - 1:
+                v = list(w)
+                v[rng.randrange(a.pivots[-1] + 1, dim)] += 1
+                cases.append(("past-last", v))
+            for j in range(a.pivots[0], a.pivots[-1]):
+                if w[j] and j not in a.row_of:
+                    cases.append(("between", w[:j] + [0] + w[j + 1:]))
+            for kind, v in cases:
+                den = a.den * rng.choice([1, 2, 5])
+                v = [x * den // a.den for x in v]
+                want = self.expected(a, v, den)
+                assert want == (coords if kind == "member" else None)
+                keys = list(range(dim))
+                rng.shuffle(keys)
+                sparse = {j: v[j] for j in keys}
+                snapshot = list(sparse.items())
+                assert a.int_coordinates(sparse, den) == want, (a, v, den)
+                assert list(sparse.items()) == snapshot
+                seen[kind] += 1
+        assert min(seen.values()) > 30, seen
 
 
 class TestZeroLattice:

@@ -669,6 +669,20 @@ class TestDegreeTraceForm:
                              fm.degree_mode_matrices(j4, 2)):
             assert mat == want.scale(F(1, 2))
 
+    def test_trace_form_matches_matrix_products(self, j4):
+        from voaforms.dihedral import ad_matrix, dihedral_2a, killing_form
+        from voaforms.exact import QMatrix
+
+        def reference(mats):
+            n = len(mats)
+            return QMatrix(n, n, [(mi @ mj).trace()
+                                  for mi in mats for mj in mats])
+        alg = dihedral_2a()
+        assert killing_form(alg) == reference(
+            [ad_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)])
+        assert fm.degree_trace_form(j4, 2) == reference(
+            fm.degree_mode_matrices(j4, 2))
+
     def test_trace_form_symmetric_integer(self, j4):
         tf = fm.degree_trace_form(j4, 2)
         assert tf.is_symmetric()
