@@ -11,26 +11,26 @@ The product kernel runs on ints: ``pair_products`` gives integer tables
 over (N!)^2 at cutoff N, one per ordered monomial pair, each bucket a
 tuple of packed ints (num << INDEX_BITS) | index that only
 ``_products_all_k`` decodes: ``vertex_product`` and every product test of
-the form layer multiply int rows through it.  The kernel merges expansion
-states that coincide (many paths through the left modes reach the same
-z-power and modes), and memoizes the creation exponential per (modes,
-alpha, tau) as basis-index lists, so assembly only adds integer products
-into buckets.  Both exponential series factor over commuting
-modes into closed forms.  In the creation series prod gamma_i(-n)^j has
+the form layer multiply int rows through it.  A table is built from the
+memoized tables of smaller pairs: the commutator formula peels the right
+monomial's modes, the iterate formula then the left one's, and the base
+case e^alpha_k e^beta is one layer of the creation exponential.  A
+creation mode maps a basis monomial to one basis monomial, so each step
+remaps smaller tables by index lists and adds them with integer factors;
+no intermediate lands above the degree being built.  The creation
+exponential factors over commuting modes: prod gamma_i(-n)^j has
 coefficient prod alpha_i^j / (n^j j!), whose denominator divides N! (a
-checked divmod that raises on a remainder); removing r of c equal modes
-gamma_i(-m) in the annihilation series has the integer coefficient
-C(c, r) (-<alpha, gamma_i>)^r.  The invariant form is integral.
+checked divmod that raises on a remainder).  The invariant form is
+integral.
 
 Conventions.  A monomial is a multiset of modes gamma_i(-n) (n >= 1, i a
 basis index) applied to the ground state e^alpha; its degree is the sum of
-the n plus half the norm of alpha.  Products are computed by expanding the
-normal-ordered operator: derivative factors for the modes, the two
-exponential series for the tail, the tail sign from the bimultiplicative
-two-cocycle, and the z-power from the tail pairing.  The bilinear form is
-the one the invariance identity forces once <vac, vac> = 1: one-mode
-adjoints pick up a sign, so e.g. <gamma(-1), gamma(-1)> = -<gamma, gamma>,
-and <e^a, e^-a> = (-1)^(|a|^2/2) eps(a, -a).  ``invariance_identity_check``
+the n plus half the norm of alpha.  The tail sign of a product comes from
+the bimultiplicative two-cocycle and its z-power from the tail pairing.
+The bilinear form is the one the invariance identity forces once
+<vac, vac> = 1: one-mode adjoints pick up a sign, so e.g.
+<gamma(-1), gamma(-1)> = -<gamma, gamma>, and
+<e^a, e^-a> = (-1)^(|a|^2/2) eps(a, -a).  ``invariance_identity_check``
 verifies that contract coefficientwise and doubles as the construction's
 oracle in the test suite.
 
@@ -257,6 +257,22 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _add_bucket(acc: dict, k: int, bucket: tuple, f: int, up=None) -> None:
+    """acc[k][index] += f * num over a packed bucket, index mapped by up."""
+    tgt = acc.get(k)
+    if tgt is None:
+        tgt = acc[k] = {}
+    get = tgt.get
+    if up is None:
+        for p in bucket:
+            x = p & INDEX_MASK
+            tgt[x] = get(x, 0) + f * (p >> INDEX_BITS)
+    else:
+        for p in bucket:
+            x = up[p & INDEX_MASK]
+            tgt[x] = get(x, 0) + f * (p >> INDEX_BITS)
+
+
 def _products_all_k(V: "TruncatedVOA", u: list, v: list) -> dict:
     """{k: {target index: num}} for all products u_k v below the cutoff.
 
@@ -293,8 +309,7 @@ class TruncatedVOA:
         self._degree = {}
         self._prod = {}
         self._eminus = {}
-        self._ecreate = {}
-        self._tails = {}
+        self._lifts = {}
         self._heis = {}
         self._formmat = {}
         self._omega = None
@@ -359,8 +374,23 @@ class TruncatedVOA:
 
     def monomial_vector(self, modes: Iterable, tail: Sequence[int],
                         coeff=1) -> GradedVector:
-        mono = FockMonomial(tuple(sorted(tuple(m) for m in modes)),
-                            tuple(int(t) for t in tail))
+        """coeff times the monomial of modes (n, i) = gamma_i(-n) on e^tail.
+
+        Each mode needs integers n >= 1 and 0 <= i < rank, and the tail
+        needs rank integer entries; anything else raises ValueError.
+        """
+        rank = self.lattice.rank
+        modes = [tuple(m) for m in modes]
+        for m in modes:
+            if (len(m) != 2 or any(type(x) is not int for x in m)
+                    or m[0] < 1 or not 0 <= m[1] < rank):
+                raise ValueError(f"mode {m} is not (n, i) with integers "
+                                 f"n >= 1 and 0 <= i < {rank}")
+        tail = tuple(as_integer(t, "tail") for t in tail)
+        if len(tail) != rank:
+            raise ValueError(f"tail {tail} has {len(tail)} entries, "
+                             f"not rank {rank}")
+        mono = FockMonomial(tuple(sorted(modes)), tail)
         if self.mono_degree(mono) > self.cutoff:
             raise CutoffExceededError("monomial degree beyond cutoff")
         return GradedVector({mono: Fraction(coeff)}, self.cutoff)
@@ -422,23 +452,6 @@ class TruncatedVOA:
         self._eminus[alpha] = series
         return series
 
-    def _eplus_expand(self, alpha: tuple, modes: tuple) -> list:
-        """Annihilation exponential on a multiset: [(zpow, modes, num)].
-
-        Removing r of the c copies of gamma_i(-m) has coefficient
-        C(c, r) (-<alpha, gamma_i>)^r and z-power -m r; numerators are
-        over N!.
-        """
-        out = [(0, (), self._fac)]
-        for m, i in dict.fromkeys(modes):
-            c = modes.count((m, i))
-            a = -self.lattice.inner_basis(alpha, i)
-            picks = [(-m * r, ((m, i),) * (c - r), comb(c, r) * a ** r)
-                     for r in range(c + 1 if a else 1)]
-            out = [(zp + dz, ms + kept, x * y)
-                   for zp, ms, x in out for dz, kept, y in picks]
-        return out
-
     # -- vertex products ------------------------------------------------------
 
     def pair_products(self, ma: FockMonomial, mb: FockMonomial) -> dict:
@@ -451,108 +464,81 @@ class TruncatedVOA:
         Much of the library reduces to this kernel; results are memoized
         per ordered monomial pair.
 
-        The left modes act one at a time on states (z-power, surviving
-        right modes, sorted created modes, created degree) held in a dict,
-        so expansion paths that reach one state add their coefficients
-        instead of multiplying the work; a state that cannot end within
-        the degree budget is dropped.  The final states merge again by
-        (z-power, all modes), and each such head picks up the creation
-        exponential from ``_creation_terms`` as (basis index, num) lists.
+        A miss builds the table from memoized tables of smaller pairs
+        (Frenkel-Lepowsky-Meurman 1988), peeling the last mode gamma_i(-n):
+
+        - mb = gamma_i(-n) w, by the commutator formula:
+          u_k mb = gamma_i(-n) u_k w
+                   - sum_j C(-n, j) (gamma_i(j) u)_{k-n-j} w,
+          where gamma_i(0) u = <gamma_i, alpha> u and, for j >= 1,
+          gamma_i(j) removes one left mode (j, l) with factor
+          j g[i][l] times its multiplicity;
+        - mb = e^beta and ma = gamma_i(-n) u, by the iterate formula:
+          ma_k e^beta = sum_j C(n+j-1, j) gamma_i(-n-j) u_{k+j} e^beta
+                        - (-1)^n <gamma_i, beta> u_{k-n} e^beta;
+        - e^alpha_k e^beta = eps(alpha, beta) times the degree
+          -k-1-<alpha, beta> layer of alpha's creation exponential on
+          e^(alpha+beta).
+
+        A creation mode gamma_i(-m) maps each basis monomial to one basis
+        monomial, so a table is a sum of smaller tables remapped by the
+        index lists of ``_raised`` and scaled by integers.  Every table
+        read targets degree t - m for a lift by gamma_i(-m) and t
+        otherwise, for the target t being built, so the recursion never
+        leaves the cutoff.
         """
         key = (ma, mb)
         hit = self._prod.get(key)
         if hit is not None:
             return hit
         lat = self.lattice
-        gram = lat.gram
-        alpha, beta = ma.tail, mb.tail
-        tails = self._tails.get((alpha, beta))
-        if tails is None:
+        cutoff = self.cutoff
+        acc: dict = {}          # k -> {index: num}
+        if not (ma.modes or mb.modes):      # e^alpha_k e^beta
+            alpha, beta = ma.tail, mb.tail
             tau = tuple(a + b for a, b in zip(alpha, beta))
-            tails = self._tails[alpha, beta] = (
-                lat.inner(alpha, beta), self.epsilon(alpha, beta), tau,
-                self.cutoff - lat.norm(tau) // 2)
-        tpair, sign, tau, budget = tails
-        out: dict = {}
-        if budget >= 0:
-            # annihilation exponential on the right modes; a state is
-            # (z-power, surviving right modes, sorted created modes, their
-            # degree) -> coefficient
-            stage = {(zp, ms, (), 0): c
-                     for zp, ms, c in self._eplus_expand(alpha, mb.modes)}
-            # derivative factor per left mode: creation, zero-mode, or
-            # annihilation part, normal ordering keeps created modes immune
-            # to later annihilators
-            for t, (n_, i_) in enumerate(ma.modes):
-                # each left mode from here on removes at most one right mode
-                left = len(ma.modes) - t
-                sgn = -1 if (n_ - 1) % 2 else 1
-                z0 = sgn * lat.inner_basis(beta, i_)
-                # annihilating one copy of (m2, j2): z-power and factor
-                ann = {}
-                for m2, j2 in dict.fromkeys(mb.modes):
-                    if gram[i_][j2]:
-                        ann[m2, j2] = (-m2 - n_, sgn * m2 * gram[i_][j2]
-                                       * comb(m2 + n_ - 1, n_ - 1))
-                # ms -> (least degree it can shrink to, the same if this
-                # mode creates, [(dz, ms without a mode, factor)])
-                moves: dict = {}
-                cre = [(p, comb(p - 1, n_ - 1)) for p in range(n_, budget + 1)]
-                nxt: dict = {}
-                get = nxt.get
-                for state, c in stage.items():
-                    if not c:
-                        continue
-                    zp, ms, created, cdeg = state
-                    info = moves.get(ms)
-                    if info is None:
-                        info = moves[ms] = (
-                            sum(n for n, _ in ms[:max(len(ms) - left, 0)]),
-                            sum(n for n, _ in ms[:max(len(ms) - left + 1, 0)]),
-                            [(ann[pair][0], _remove_one(ms, pair),
-                              ann[pair][1] * ms.count(pair))
-                             for pair in dict.fromkeys(ms) if pair in ann])
-                    low, low_cre, mv = info
-                    if cdeg + low > budget:
-                        continue    # ends above the budget
-                    if z0:
-                        s = (zp - n_, ms, created, cdeg)
-                        nxt[s] = get(s, 0) + c * z0
-                    for dz, rest, a in mv:
-                        s = (zp + dz, rest, created, cdeg)
-                        nxt[s] = get(s, 0) + c * a
-                    for p, cf in cre:
-                        if cdeg + p + low_cre > budget:
-                            break
-                        s = (zp + p - n_, ms,
-                             tuple(sorted(created + ((p, i_),))), cdeg + p)
-                        nxt[s] = get(s, 0) + c * cf
-                stage = nxt
-            # merge the states by (z-power, all modes) within the budget
-            heads: dict = {}
-            room = {}       # ms -> budget left after its degree
-            for (zp, ms, created, cdeg), c in stage.items():
-                r = room.get(ms)
-                if r is None:
-                    r = room[ms] = budget - sum(n for n, _ in ms)
-                if c and cdeg <= r:
-                    s = (zp, tuple(sorted(ms + created)) if created else ms)
-                    heads[s] = heads.get(s, 0) + c
-            # creation exponential and assembly
-            k0 = -tpair - 1
-            for (zp, head), c in heads.items():
-                if not c:
-                    continue
-                c *= sign
-                for edeg, terms in enumerate(
-                        self._creation_terms(head, alpha, tau)):
-                    bucket = out.get(k0 - zp - edeg)
-                    if bucket is None:
-                        bucket = out[k0 - zp - edeg] = {}
-                    for i, ec in terms:
-                        bucket[i] = bucket.get(i, 0) + c * ec
+            deg = lat.norm(tau) // 2
+            f = self.epsilon(alpha, beta) * self._fac
+            k0 = -lat.inner(alpha, beta) - 1
+            eser = self._eminus_series(alpha)
+            for e in range(cutoff - deg + 1):
+                index = self.basis_index(deg + e)
+                acc[k0 - e] = {index[FockMonomial(modes, tau)]: f * c
+                               for modes, c in eser[e].items()}
+        else:
+            if mb.modes:                    # commutator formula
+                n, i = mb.modes[-1]
+                u, w = ma, FockMonomial(mb.modes[:-1], mb.tail)
+                lifts = ((n, 0, 1),)    # (mode order, k shift, factor)
+                z = -lat.inner_basis(ma.tail, i)
+                g = lat.gram[i]
+                for j, l in dict.fromkeys(ma.modes):
+                    if g[l]:
+                        f = (j * g[l] * ma.modes.count((j, l))
+                             * comb(n + j - 1, j))
+                        v = FockMonomial(_remove_one(ma.modes, (j, l)),
+                                         ma.tail)
+                        for k, bucket in self.pair_products(v, w).items():
+                            _add_bucket(acc, k + n + j, bucket,
+                                        f if j % 2 else -f)
+            else:                           # iterate formula
+                n, i = ma.modes[-1]
+                u, w = FockMonomial(ma.modes[:-1], ma.tail), mb
+                lifts = [(n + j, -j, comb(n + j - 1, j))
+                         for j in range(cutoff - n + 1)]
+                z = lat.inner_basis(mb.tail, i) * (1 if n % 2 else -1)
+            d = self.mono_degree(u) + self.mono_degree(w)
+            for k, bucket in self.pair_products(u, w).items():
+                t = d - k - 1
+                for m, s, f in lifts:
+                    if t + m > cutoff:
+                        break
+                    _add_bucket(acc, k + s, bucket, f,
+                                self._raised(t, m, i))
+                if z:
+                    _add_bucket(acc, k + n, bucket, z)
         packed = {}
-        for k, bucket in out.items():
+        for k, bucket in acc.items():
             b = tuple([(c << INDEX_BITS) | i
                        for i, c in sorted(bucket.items()) if c])
             if b:
@@ -560,27 +546,17 @@ class TruncatedVOA:
         self._prod[key] = packed
         return packed
 
-    def _creation_terms(self, head: tuple, alpha: tuple, tau: tuple) -> list:
-        """The creation exponential of alpha on head over tail tau.
-
-        Entry edeg lists (basis index of sorted(head + emodes), num) over
-        the creation-series terms emodes of degree edeg, up to the cutoff;
-        num is over N!.  Memoized per (head, alpha, tau).
-        """
-        key = (head, alpha, tau)
-        hit = self._ecreate.get(key)
-        if hit is not None:
-            return hit
-        eser = self._eminus_series(alpha)
-        deg = self.lattice.norm(tau) // 2 + sum(n for n, _ in head)
-        out = []
-        for edeg in range(self.cutoff - deg + 1):
-            index = self.basis_index(deg + edeg)
-            out.append(tuple(
-                (index[FockMonomial(tuple(sorted(head + emodes)), tau)], ec)
-                for emodes, ec in eser[edeg].items()))
-        self._ecreate[key] = out
-        return out
+    def _raised(self, t: int, m: int, i: int) -> list:
+        """Index map of gamma_i(-m) from graded_basis(t) to t + m."""
+        key = (t, m, i)
+        up = self._lifts.get(key)
+        if up is None:
+            index = self.basis_index(t + m)
+            up = self._lifts[key] = [
+                index[FockMonomial(tuple(sorted(mono.modes + ((m, i),))),
+                                   mono.tail)]
+                for mono in self.graded_basis(t)]
+        return up
 
     def int_rows(self, v: GradedVector):
         """(den, {degree: [(monomial, int)]}) with v the rows over den."""

@@ -324,6 +324,11 @@ def a2n3():
     return TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3)
 
 
+@pytest.fixture(scope="module")
+def a2mn3():
+    return TruncatedVOA(EvenLattice([[2, -1], [-1, 2]]), 3)
+
+
 class TestKernelOracles:
     """Identities every vertex algebra satisfies, checked on the kernel."""
 
@@ -337,8 +342,14 @@ class TestKernelOracles:
         assert instances > 50000
         assert failures == []
 
-    def test_skew_symmetry(self, a1n4, a2n3):
-        for V in (a1n4, a2n3):
+    def test_borcherds_identity_negative_gram(self, a2mn3):
+        # the signed factors g[i][l], <gamma_i, alpha> and <gamma_i, beta>
+        failures, instances = borcherds_failures(a2mn3)
+        assert instances > 50000
+        assert failures == []
+
+    def test_skew_symmetry(self, a1n4, a2n3, a2mn3):
+        for V in (a1n4, a2n3, a2mn3):
             failures, instances = skew_symmetry_failures(V)
             assert instances > 1000
             assert failures == []
@@ -367,14 +378,17 @@ class TestIntegerKernelMatchesFractions:
     @pytest.mark.parametrize("gram, cutoff", [([[2]], 5),
                                               ([[2, 1], [1, 2]], 3),
                                               ([[4]], 5),
-                                              ([[2, 1], [1, 4]], 3)])
+                                              ([[2, 1], [1, 4]], 3),
+                                              ([[2, -1], [-1, 2]], 3),
+                                              ([[2, -1, 0], [-1, 2, -1],
+                                                [0, -1, 2]], 2)])
     def test_every_monomial_pair(self, gram, cutoff):
         V = TruncatedVOA(EvenLattice(gram), cutoff)
         assert V.product_den == factorial(cutoff) ** 2
         self.check_pairs(V, 2 * cutoff)
 
     def test_a1_n6_pairs_within_the_cutoff(self):
-        # where merging expansion states removes the most duplicates
+        # the deepest recursions: up to six modes between the two sides
         V = TruncatedVOA(EvenLattice([[2]]), 6)
         assert V.product_den == factorial(6) ** 2
         assert self.check_pairs(V, 6) == 643
@@ -401,6 +415,22 @@ class TestPackedBuckets:
                     assert all(p >> INDEX_BITS for p in bucket)
                     entries += len(bucket)
         assert entries > 10000
+
+    def test_tables_independent_of_memo_order(self):
+        tables = []
+        for order in (1, -1):
+            V = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3)
+            monos = [m for d in range(4) for m in V.graded_basis(d)]
+            pairs = [(ma, mb) for ma in monos for mb in monos][::order]
+            tables.append({p: V.pair_products(*p) for p in pairs})
+        assert tables[0] == tables[1]
+
+    def test_vacuum_tables(self, a2n3):
+        vac = a2n3.vacuum_monomial()
+        for d in range(a2n3.cutoff + 1):
+            for i, m in enumerate(a2n3.graded_basis(d)):
+                assert a2n3.pair_products(vac, m) == {
+                    -1: ((a2n3.product_den << INDEX_BITS) | i,)}
 
     def test_graded_basis_rejects_unindexable_degree(self, monkeypatch):
         import voaforms.voa as voa
@@ -562,6 +592,29 @@ class TestLiterals:
                     "1 * e(0,0)", "1 * h(1,1) * e(0)"]:
             with pytest.raises((ElementParseError, CutoffExceededError)):
                 a1.parse_element(bad)
+
+
+class TestMonomialVector:
+    """monomial_vector accepts exactly the monomials parse_element accepts."""
+
+    @pytest.mark.parametrize("mode", [(0, 0), (-1, 0), (1, 3), (1, -1),
+                                      (1.5, 0), (True, 0), (1, 0, 0)])
+    def test_rejects_bad_mode(self, a1, mode):
+        with pytest.raises(ValueError, match=r"mode \(.*\) is not \(n, i\)"):
+            a1.monomial_vector([mode], [0])
+
+    @pytest.mark.parametrize("tail, message", [
+        ([], "entries, not rank 1"), ([0, 0], "entries, not rank 1"),
+        ([0.5], "tail: not an integer")])
+    def test_rejects_bad_tail(self, a1, tail, message):
+        with pytest.raises(ValueError, match=message):
+            a1.monomial_vector([(1, 0)], tail)
+
+    def test_accepts_every_basis_monomial(self, a2):
+        for d in range(a2.cutoff + 1):
+            for m in a2.graded_basis(d):
+                v = a2.monomial_vector(reversed(m.modes), list(m.tail))
+                assert v.terms == {m: 1}
 
 
 class TestCoords:
