@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from voaforms import forms as fm
 from voaforms.dihedral import dihedral_2a_report
 from voaforms.exact import format_rational
-from voaforms.latgroup import Character
+from voaforms.latgroup import ActionError, Character
 from voaforms.voa import (
     CutoffExceededError,
     ElementParseError,
@@ -464,13 +464,16 @@ def cmd_tel(args) -> int:
         if not a.preserves_form(J):
             sys.stderr.write("action does not preserve the form\n")
             return EXIT_VERIFY_FAIL
-    chars = Character.all_characters(r)
     eigen = {}
-    for ch in chars:
-        fam = fm.character_eigenform(J, auts, ch)
-        eigen["".join("+" if s == 1 else "-" for s in ch.signs)] = {
-            str(d): fam[d].rank for d in sorted(fam)}
-    exps = fm.tel_exponents(J, auts)
+    try:
+        for ch in Character.all_characters(r):
+            fam = fm.character_eigenform(J, auts, ch)
+            eigen["".join("+" if s == 1 else "-" for s in ch.signs)] = {
+                str(d): fam[d].rank for d in sorted(fam)}
+        exps = fm.tel_exponents(J, auts)
+    except ActionError as e:
+        # a lift of involutive isometries need not be an involution on V
+        raise InputError(f"action: {e}")
     ok = all((1 << r) % e == 0 for e in exps.values())
     payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
                "rank": r,

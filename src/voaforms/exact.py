@@ -615,15 +615,33 @@ def membership(vector: Sequence, a: ZLattice) -> bool:
 
 
 def int_gram(rows: Sequence[Sequence[int]],
-             form: Sequence[Sequence]) -> tuple:
-    """(M, fden) with rows @ form @ rows^T == M / fden and M integral.
+             form: Sequence[Sequence[int]]) -> tuple:
+    """rows @ form @ rows^T, for integer rows and a square integer form."""
+    return mat_mul(mat_mul(rows, form), list(zip(*rows)))
 
-    ``rows`` are integer vectors and ``form`` a square rational matrix given
-    by its rows; fden is the lcm of the form's entry denominators.
+
+def _gram_blocks(m: Sequence[Sequence[int]]) -> list:
+    """Index lists of the connected blocks of a square matrix's nonzeros.
+
+    Indices i and j share a block when a chain of nonzero entries m[i][k],
+    m[k][l], ... joins them, so permuted into block order m is block
+    diagonal.  Blocks come in order of their least index, each ascending.
     """
-    fden = lcm(1, *(x.denominator for row in form for x in row))
-    f = [[int(x * fden) for x in row] for row in form]
-    return mat_mul(mat_mul(rows, f), list(zip(*rows))), fden
+    parent = list(range(len(m)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x:
+                parent[find(i)] = find(j)
+    blocks: dict = {}
+    for i in range(len(m)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
 
 
 def dual_lattice(a: ZLattice, gram: QMatrix) -> ZLattice:
@@ -631,21 +649,42 @@ def dual_lattice(a: ZLattice, gram: QMatrix) -> ZLattice:
 
     Returns {u in span(A) : <u, x> in Z for all x in A}.  The form must be
     symmetric and nondegenerate on span(A); the zero lattice is self-dual.
+
+    With A = H/den and the form F/fden for integer H and F, the dual rows
+    are den fden M^-1 H for the integer Gram matrix M = H F H^T.  M is
+    solved one block of ``_gram_blocks`` at a time (a form that pairs each
+    charge only with its negative gives a block per such pair): the
+    fraction-free solve of M_b gives M_b Y_b = d_b H_b, and scaling each Y_b
+    by d / d_b, for d the lcm of the block determinants |d_b|, gives
+    M Y = d H, so the dual rows are den fden Y / d.
     """
     if gram.rows != a.ambient_dim or gram.cols != a.ambient_dim:
         raise DimensionMismatchError("form has wrong shape")
     if not gram.is_symmetric():
         raise ValueError("form is not symmetric")
+    fden = lcm(1, *(x.denominator for x in gram.entries))
+    return int_dual_lattice(
+        a, [[int(x * fden) for x in row] for row in gram.row_list()], fden)
+
+
+def int_dual_lattice(a: ZLattice, form: Sequence[Sequence[int]],
+                     fden: int = 1) -> ZLattice:
+    """``dual_lattice`` for the form ``form / fden``, given by integer rows
+    that are not checked for shape or symmetry."""
     if a.rank == 0:
         return a
-    # With A = H/den and gram = G/gden for integer H and G, the dual rows
-    # are (H G H^T / (den^2 gden))^-1 H/den = den gden M^-1 H for the
-    # integer M = H G H^T, and the fraction-free solve gives d M^-1 H.
-    m, gden = int_gram(a.rows, gram.row_list())
-    try:
-        d, y = _bareiss_solve(m, a.rows)
-    except DegenerateFormError:
-        raise DegenerateFormError("form is degenerate on the span of A")
-    f = a.den * gden if d > 0 else -a.den * gden
-    return ZLattice._from_ints(a.ambient_dim, abs(d),
-                               [[f * x for x in row] for row in y])
+    m = int_gram(a.rows, form)
+    solved = []
+    for block in _gram_blocks(m):
+        try:
+            solved.append(_bareiss_solve(
+                [[m[i][j] for j in block] for i in block],
+                [a.rows[i] for i in block]))
+        except DegenerateFormError:
+            raise DegenerateFormError("form is degenerate on the span of A")
+    d = lcm(*(abs(db) for db, _ in solved))
+    y = []
+    for db, yb in solved:
+        c = a.den * fden * d // db
+        y.extend([c * x for x in row] for row in yb)
+    return ZLattice._from_ints(a.ambient_dim, d, y)

@@ -26,8 +26,8 @@ from voaforms.exact import (
     QMatrix,
     ZLattice,
     as_integer,
-    dual_lattice,
     format_rational,
+    int_dual_lattice,
     int_gram,
     kernel_int,
     lattice_intersect,
@@ -265,11 +265,11 @@ def form_gram(J: TruncatedForm, degree: int) -> list:
     hit = J._gram_cache.get(degree)
     if hit is not None:
         return hit
-    # With the basis H/den and the form matrix F/fden for integer H and F,
-    # the Gram matrix is H F H^T / (den^2 fden).
+    # With the basis H/den and the integer form matrix F, the Gram matrix
+    # is H F H^T / den^2.
     lat = J.lattice(degree)
-    m, fden = int_gram(lat.rows, J.host.form_matrix(degree))
-    scale = lat.den * lat.den * fden
+    m = int_gram(lat.rows, J.host.form_matrix(degree))
+    scale = lat.den * lat.den
     out = [[Fraction(x, scale) for x in row] for row in m]
     J._gram_cache[degree] = out
     return out
@@ -362,11 +362,8 @@ def _degree_dual(J: TruncatedForm, d: int) -> ZLattice:
     """Dual of J's degree-d lattice under the invariant form, cached on J."""
     hit = J._duals.get(d)
     if hit is None:
-        V = J.host
-        fm = QMatrix.from_rows(V.form_matrix(d)) if V.dim(d) \
-            else QMatrix(0, 0, [])
         try:
-            hit = dual_lattice(J.lattice(d), fm)
+            hit = int_dual_lattice(J.lattice(d), J.host.form_matrix(d))
         except DegenerateFormError:
             raise DegenerateFormError(
                 f"invariant form degenerate on the degree-{d} piece")

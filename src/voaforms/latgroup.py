@@ -48,18 +48,38 @@ def _mat_identity(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def column_nonzeros(m: Sequence[Sequence]) -> list:
+    """The (row, entry) pairs of the nonzero entries of each column of m."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]]
+            for j in range(len(m[0]) if m else 0)]
+
+
+def apply_columns(cols: Sequence, nonzeros: Iterable, height: int) -> list:
+    """m @ v, for v given by its (index, entry) nonzeros.
+
+    ``cols`` holds the column nonzeros of m and ``height`` its row count;
+    each nonzero of v meets only the nonzeros of its column.
+    """
+    out = [0] * height
+    for j, x in nonzeros:
+        for i, y in cols[j]:
+            out[i] += y * x
+    return out
+
+
 def apply_matrix(m: Sequence[Sequence], vector: Sequence) -> list:
     """Image of a (row) vector under the matrix acting on coordinates."""
-    nonzero = [(j, x) for j, x in enumerate(vector) if x]
-    return [sum(row[j] * x for j, x in nonzero) for row in m]
+    return apply_columns(column_nonzeros(m),
+                         [(j, x) for j, x in enumerate(vector) if x], len(m))
 
 
 def preserves(lattice: ZLattice, matrices: Iterable) -> bool:
     """Whether each integer matrix maps the lattice into itself."""
+    n = lattice.ambient_dim
     return all(
-        lattice.int_coordinates(dict(enumerate(apply_matrix(g, row))),
+        lattice.int_coordinates(dict(enumerate(apply_columns(cols, nz, n))),
                                 lattice.den) is not None
-        for g in matrices for row in lattice.rows)
+        for cols in map(column_nonzeros, matrices) for nz in lattice.nonzeros)
 
 
 class SignedAction:
@@ -168,9 +188,10 @@ def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
     # pairs; stack the constraint blocks horizontally.
     stacked = [[] for _ in h]
     for g, s in zip(matrices, signs):
-        for row, out in zip(h, stacked):
-            img = apply_matrix(g, row)
-            out.extend(img[j] - s * row[j] for j in range(n))
+        cols = column_nonzeros(g)
+        for row, nz, out in zip(h, lattice.nonzeros, stacked):
+            img = apply_columns(cols, nz, n)
+            out.extend(y - s * x for y, x in zip(img, row))
     ker = kernel_int(stacked, len(stacked[0]))
     return ZLattice._from_ints(n, lattice.den, mat_mul(ker, h))
 
@@ -233,9 +254,10 @@ def idempotent_project(vector: Sequence, action: SignedAction,
 def image_lattice(matrix: Sequence[Sequence], lattice: ZLattice) -> ZLattice:
     """The lattice g.L for an invertible rational matrix g."""
     mden = lcm(1, *(x.denominator for row in matrix for x in row))
-    mint = [[int(x * mden) for x in row] for row in matrix]
-    return ZLattice._from_ints(lattice.ambient_dim, lattice.den * mden,
-                               [apply_matrix(mint, r) for r in lattice.rows])
+    cols = column_nonzeros([[int(x * mden) for x in row] for row in matrix])
+    return ZLattice._from_ints(
+        lattice.ambient_dim, lattice.den * mden,
+        [apply_columns(cols, nz, len(matrix)) for nz in lattice.nonzeros])
 
 
 def close_matrix_group(mats: Iterable, dim: int, bound: int = 1024) -> list:

@@ -222,6 +222,49 @@ class TestGolden:
         assert main(argv + ["--format", "json", "-o", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
+    @pytest.mark.parametrize("name, argv", [
+        ("dual-a2n3", ["dual", "--manifest", "{a2n3}",
+                       "--stability-order", "3"]),
+        ("tel-a2n3", ["tel", "--manifest", "{a2n3}", "--action",
+                      "{a2_action}"]),
+        ("dual-a1n4-sum", ["dual", "--manifest", "{a1n4_sum}",
+                           "--stability-order", "4"]),
+    ])
+    def test_rank2_and_one_block_report_bytes(self, tmp_path, built, name,
+                                              argv):
+        """A2 at cutoff 3 under swap and negation, whose Gram matrices have
+        one block per charge pair, and A1 at cutoff 4 from the one generator
+        e(1) + e(-1), whose Gram matrices are each a single block."""
+        paths = {**built, "a2_action": _action(
+            tmp_path, '{"isometries": [[[0, 1], [1, 0]], [[-1, 0], [0, -1]]]}')}
+        out = tmp_path / "out.json"
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv + ["--format", "json", "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+A2_LATTICE = '{"rank": 2, "gram": [[2, 1], [1, 2]]}'
+A2_GENERATORS = "1 * e(1,0)\n1 * e(-1,0)\n1 * e(0,1)\n1 * e(0,-1)\n"
+
+
+def _built(t, name, lattice, generators, degree):
+    """Path of the manifest that build writes for the given inputs."""
+    out = t / f"{name}.json"
+    assert main(["build", "--lattice", _write(t, f"{name}-lattice.json",
+                                              lattice),
+                 "--generators", _write(t, f"{name}-gens.txt", generators),
+                 "--max-degree", str(degree), "--format", "json",
+                 "-o", str(out)]) == 0
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    t = tmp_path_factory.mktemp("manifests")
+    return {"a2n3": _built(t, "a2n3", A2_LATTICE, A2_GENERATORS, 3),
+            "a1n4_sum": _built(t, "a1n4-sum", '{"rank": 1, "gram": [[2]]}',
+                               "1 * e(1) + 1 * e(-1)\n", 4)}
+
 
 def _write(tmp_path, name, data):
     path = tmp_path / name
@@ -322,6 +365,10 @@ MALFORMED = {
         "--action", _action(
             t, '{"isometries": [[[-1]]], "tail_signs": [[true]]}')],
         "action: isometry 0"),
+    "tel-lift-not-involution": (lambda t: [
+        "tel", "--manifest", _built(t, "a2n2", A2_LATTICE, A2_GENERATORS, 2),
+        "--action", _action(t, '{"isometries": [[[1, 1], [0, -1]]]}')],
+        "action"),
     "tel-tail-signs-empty": (lambda t: [
         "tel", "--manifest", str(GOLDEN / "build.json"),
         "--action", _action(

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -11,8 +11,11 @@ from voaforms.exact import (
     QMatrix,
     SpanMismatchError,
     ZLattice,
+    _gram_blocks,
     dual_lattice,
     hnf,
+    int_dual_lattice,
+    int_gram,
     lattice_intersect,
     lattice_sum,
     mat_mul,
@@ -22,6 +25,7 @@ from voaforms.exact import (
     quotient_invariants,
     smith_invariants,
 )
+from voaforms.voa import EvenLattice, TruncatedVOA
 
 from oracles import (
     exponent_by_scan,
@@ -215,6 +219,25 @@ class TestDualAgainstDefinition:
              [Fraction(1, 3), 0, 2]]],
     }
 
+    @staticmethod
+    def _check(a, gram):
+        """Check dual_lattice(a, gram) against the definition; False when
+        the form is degenerate on span(a), which must raise."""
+        rows = a.basis_rows()
+        g = QMatrix.from_rows(gram)
+        if _det(_pairing(rows, gram, rows)) == 0:
+            with pytest.raises(DegenerateFormError):
+                dual_lattice(a, g)
+            return False
+        d = dual_lattice(a, g)
+        assert d.rank == a.rank
+        for row in d.basis_rows():
+            assert gauss_solve_left(rows, row) is not None
+        pairing = _pairing(d.basis_rows(), gram, rows)
+        assert all(x.denominator == 1 for row in pairing for x in row)
+        assert _det(pairing) in (1, -1)
+        return True
+
     def test_random_lattices_and_forms(self):
         rng = random.Random(5)
         seen = {"low rank": 0, "den > 1": 0, "degenerate": 0, "checked": 0}
@@ -225,24 +248,78 @@ class TestDualAgainstDefinition:
             if a.rank == 0:
                 continue
             a = a.scale(Fraction(rng.choice((1, 2, 3)), rng.choice((1, 3, 5))))
-            rows = a.basis_rows()
-            g = QMatrix.from_rows(gram)
-            if _det(_pairing(rows, gram, rows)) == 0:
-                with pytest.raises(DegenerateFormError):
-                    dual_lattice(a, g)
+            if not self._check(a, gram):
                 seen["degenerate"] += 1
                 continue
-            d = dual_lattice(a, g)
-            assert d.rank == a.rank
-            for row in d.basis_rows():
-                assert gauss_solve_left(rows, row) is not None
-            pairing = _pairing(d.basis_rows(), gram, rows)
-            assert all(x.denominator == 1 for row in pairing for x in row)
-            assert _det(pairing) in (1, -1)
             seen["checked"] += 1
             seen["low rank"] += a.rank < dim
             seen["den > 1"] += a.den > 1
         assert all(seen.values()), seen
+
+    def test_direct_sums_with_shuffled_columns(self):
+        """Sums of GRAMS entries over scattered column sets, and sums of
+        lattices inside them, so the Gram matrix splits into blocks that
+        dual_lattice solves one at a time."""
+        rng = random.Random(8)
+        seen = {"several blocks": 0, "lcm < product": 0, "low rank": 0,
+                "one degenerate block": 0, "checked": 0}
+        for _ in range(120):
+            parts = [rng.choice(self.GRAMS[rng.choice((2, 3))])
+                     for _ in range(rng.randint(2, 3))]
+            dim = sum(len(g) for g in parts)
+            cols = list(range(dim))
+            rng.shuffle(cols)
+            gram = [[0] * dim for _ in range(dim)]
+            rows = []
+            for g in parts:
+                at, cols = cols[:len(g)], cols[len(g):]
+                for i, gi in enumerate(g):
+                    for j, x in enumerate(gi):
+                        gram[at[i]][at[j]] = x
+                for r in random_lattice(rng, len(g), allow_halves=True)[1]:
+                    row = [0] * dim
+                    for i, x in enumerate(r):
+                        row[at[i]] = x
+                    rows.append(row)
+            a = ZLattice.from_rows(dim, rows)
+            if a.rank == 0:
+                continue
+            fden = lcm(*(Fraction(x).denominator for r in gram for x in r))
+            m = int_gram(a.rows, [[int(x * fden) for x in r] for r in gram])
+            dets = [abs(int(_det([[m[i][j] for j in b] for i in b])))
+                    for b in _gram_blocks(m)]
+            if not self._check(a, gram):
+                seen["one degenerate block"] += dets.count(0) == 1 < len(dets)
+                continue
+            seen["checked"] += 1
+            seen["several blocks"] += len(dets) > 1
+            seen["lcm < product"] += lcm(*dets) < prod(dets)
+            seen["low rank"] += a.rank < dim
+        assert all(seen.values()), seen
+
+    def test_one_degenerate_block_among_others(self):
+        # columns 0, 2 carry A2 and columns 1, 3 a hyperbolic plane, whose
+        # isotropic line through e_1 is a degenerate block of its own
+        gram = [[2, 0, 1, 0], [0, 0, 0, 1], [1, 0, 2, 0], [0, 1, 0, 0]]
+        a = lat([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])
+        with pytest.raises(DegenerateFormError):
+            dual_lattice(a, QMatrix.from_rows(gram))
+        assert self._check(lat([1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]),
+                           gram)
+
+    @pytest.mark.parametrize("gram, cutoff", [([[2]], 5),
+                                              ([[2, 1], [1, 2]], 3)])
+    def test_host_forms(self, gram, cutoff):
+        """int_dual_lattice takes the host's form unchecked: it must be
+        symmetric, and then agree with dual_lattice on the whole piece."""
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        for d in range(cutoff + 1):
+            f = V.form_matrix(d)
+            assert all(f[i][j] == f[j][i] for i in range(len(f))
+                       for j in range(i))
+            whole = ZLattice.standard(V.dim(d))
+            assert int_dual_lattice(whole, f) == \
+                dual_lattice(whole, QMatrix.from_rows(f))
 
     def test_isotropic_line_is_degenerate(self):
         with pytest.raises(DegenerateFormError):

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from voaforms.exact import ZLattice, lattice_intersect, quotient_exponent, quotient_index
+from voaforms.exact import (
+    ZLattice,
+    kernel_int,
+    lattice_intersect,
+    mat_mul,
+    quotient_exponent,
+    quotient_index,
+)
 from voaforms.latgroup import (
     ActionError,
     Character,
@@ -11,6 +18,7 @@ from voaforms.latgroup import (
     PreservationError,
     SignedAction,
     apply_matrix,
+    common_eigenlattice,
     eigenlattice,
     idempotent_project,
     image_lattice,
@@ -257,3 +265,96 @@ class TestInvariantIntersection:
         l = ZLattice.from_rows(2, [[1, 0], [0, 2]])
         img = image_lattice(SWAP, l)
         assert img == ZLattice.from_rows(2, [[0, 1], [2, 0]])
+
+
+def _dense_apply(m, vector):
+    """m @ vector, one sum over every column per row (reference)."""
+    return [sum(row[j] * x for j, x in enumerate(vector)) for row in m]
+
+
+def _random_matrix(rng, n, kind):
+    """A seeded n x n matrix: "involution" (signed, permuting pairs of
+    coordinates), "signed" (any signed permutation), or "dense" (small
+    entries, one column zeroed); "rational" divides a dense one."""
+    m = [[0] * n for _ in range(n)]
+    if kind == "involution":
+        free = list(range(n))
+        rng.shuffle(free)
+        while free:
+            i = free.pop()
+            j = free.pop() if free and rng.random() < 0.6 else i
+            m[i][j] = m[j][i] = rng.choice((1, -1))
+        return m
+    if kind == "signed":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            m[i][j] = rng.choice((1, -1))
+        return m
+    m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    zero = rng.randrange(n)
+    for row in m:
+        row[zero] = 0
+    if kind == "rational":
+        m = [[Fraction(x, rng.randint(1, 3)) for x in row] for row in m]
+    return m
+
+
+def _random_lattice(rng, n):
+    rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+             for _ in range(n)] for _ in range(rng.randint(1, n))]
+    return ZLattice.from_rows(n, rows)
+
+
+class TestColumnNonzerosAgainstDense:
+    """Matrix actions through column nonzeros equal the dense row sums."""
+
+    KINDS = ("involution", "signed", "dense")
+
+    def test_image_lattice(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = _random_matrix(rng, n, rng.choice(self.KINDS + ("rational",)))
+            lat = _random_lattice(rng, n)
+            assert image_lattice(m, lat) == ZLattice.from_rows(
+                n, [_dense_apply(m, r) for r in lat.basis_rows()])
+
+    def test_preserves(self):
+        rng = random.Random(22)
+        seen = {True: 0, False: 0}
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            mats = [_random_matrix(rng, n, rng.choice(self.KINDS))
+                    for _ in range(rng.randint(1, 2))]
+            lat = _random_lattice(rng, n) if rng.random() < 0.5 \
+                else ZLattice.standard(n).scale(Fraction(1, 2))
+            want = all(member_by_solve(_dense_apply(g, r), lat.basis_rows())
+                       for g in mats for r in lat.basis_rows())
+            assert preserves(lat, mats) is want
+            seen[want] += 1
+        assert all(seen.values()), seen
+
+    def test_common_eigenlattice(self):
+        rng = random.Random(23)
+        ranks = set()
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            mats = [_random_matrix(rng, n, rng.choice(self.KINDS))
+                    for _ in range(rng.randint(1, 2))]
+            signs = [rng.choice((1, -1)) for _ in mats]
+            lat = _random_lattice(rng, n)
+            if lat.rank == 0:
+                continue
+            stacked = [[] for _ in lat.rows]
+            for g, s in zip(mats, signs):
+                for row, out in zip(lat.rows, stacked):
+                    img = _dense_apply(g, row)
+                    out.extend(img[j] - s * row[j] for j in range(n))
+            ker = kernel_int(stacked, len(stacked[0]))
+            want = ZLattice.from_rows(n, [[Fraction(x, lat.den) for x in r]
+                                          for r in mat_mul(ker, lat.rows)])
+            got = common_eigenlattice(lat, mats, signs)
+            assert got == want
+            ranks.add((got.rank > 0, got.rank < lat.rank))
+        assert len(ranks) == 3, ranks
