@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from voaforms import forms as fm
 from voaforms.dihedral import dihedral_2a_report
 from voaforms.exact import format_rational
-from voaforms.latgroup import ActionError, Character
+from voaforms.latgroup import ActionError
 from voaforms.voa import (
     CutoffExceededError,
     ElementParseError,
@@ -460,20 +460,17 @@ def cmd_tel(args) -> int:
     _, V, J = _load_form(args.manifest, args.iter_bound)
     auts = _load_automorphisms(args.action, V)
     r = len(auts)
-    for a in auts:
-        if not a.preserves_form(J):
-            sys.stderr.write("action does not preserve the form\n")
-            return EXIT_VERIFY_FAIL
-    eigen = {}
     try:
-        for ch in Character.all_characters(r):
-            fam = fm.character_eigenform(J, auts, ch)
-            eigen["".join("+" if s == 1 else "-" for s in ch.signs)] = {
-                str(d): fam[d].rank for d in sorted(fam)}
-        exps = fm.tel_exponents(J, auts)
+        fams, exps = fm.eigenform_decomposition(J, auts)
+    except fm.PreconditionError:
+        sys.stderr.write("action does not preserve the form\n")
+        return EXIT_VERIFY_FAIL
     except ActionError as e:
         # a lift of involutive isometries need not be an involution on V
         raise InputError(f"action: {e}")
+    eigen = {"".join("+" if s == 1 else "-" for s in ch.signs):
+             {str(d): fam[d].rank for d in sorted(fam)}
+             for ch, fam in fams.items()}
     ok = all((1 << r) % e == 0 for e in exps.values())
     payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
                "rank": r,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from voaforms.dihedral import FiniteAlgebra, trace_form
@@ -34,6 +34,7 @@ from voaforms.exact import (
     lattice_sum,
     mat_mul,
     quotient_exponent,
+    smith_invariants,
 )
 from voaforms.latgroup import (
     Character,
@@ -41,10 +42,10 @@ from voaforms.latgroup import (
     SignedAction,
     apply_matrix,
     common_eigenlattice,
-    eigenlattice,
+    direct_sum,
     invariant_intersection,
     preserves,
-    tel_exponent_check,
+    tel_exponent,
 )
 from voaforms.voa import (
     EvenLattice,
@@ -138,6 +139,12 @@ class TruncatedForm:
 # generation by saturation
 # ---------------------------------------------------------------------------
 
+def _exponent(lat: ZLattice) -> int:
+    """Least e with (e / den) Z^n in a full-rank M / den: M's largest
+    Smith invariant, the exponent of Z^n / M."""
+    return smith_invariants(lat.rows)[-1]
+
+
 def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                   gen_degree: int | None = None,
                   iter_bound: int = 50) -> TruncatedForm:
@@ -168,6 +175,15 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     denominator trace (which is also the denominator-growth report for
     converged runs).  Rows are ints over their lattice's denominator
     throughout.
+
+    Most products are accepted without reducing them.  A full-rank lattice
+    L = M / den_L, with M in Z^n, contains e * Z^n / den_L, where e is the
+    exponent of Z^n / M (its largest Smith invariant), so w / den lies in L
+    whenever den * e divides den_L * gcd(w).  A pair (den_L, e) is kept per
+    degree and recomputed when its full-rank lattice changes.  Lattices only
+    grow, so a pair from an earlier lattice of the degree stays sound; the
+    test never decides membership differently, and every lattice and trace
+    is what reducing each product gives.
     """
     gens = [g for g in generators if not g.is_zero()]
     for g in gens:
@@ -183,16 +199,22 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
             f"gen_degree {gen_degree} exceeds cutoff {V.cutoff}")
 
     lattices: dict = {}
+    exponents: dict = {}  # degree -> (den_L, e) of a full-rank lattice
 
     def try_add(d: int, den: int, w: dict) -> None:
         """Add w / den, for w a {index: int} map over the degree-d basis."""
+        known = exponents.get(d)
+        if known and known[0] * gcd(*w.values()) % (den * known[1]) == 0:
+            return
         lat = lattices.get(d)
         if lat is None:
             lat = ZLattice.zero(V.dim(d))
         if lat.int_coordinates(w, den) is None:
             row = [w.get(i, 0) for i in range(lat.ambient_dim)]
-            lattices[d] = lattice_sum(
+            lat = lattices[d] = lattice_sum(
                 lat, ZLattice._from_ints(lat.ambient_dim, den, [row]))
+            if lat.rank == lat.ambient_dim:
+                exponents[d] = (lat.den, _exponent(lat))
 
     for vec in [V.vacuum()] + gens:
         den, rows = V.int_rows(vec)
@@ -766,16 +788,33 @@ def graded_sign_action(V: TruncatedVOA, auts: Sequence[VOAAutomorphism],
 def character_eigenform(J: TruncatedForm, auts: Sequence[VOAAutomorphism],
                         char: Character) -> dict:
     """Degreewise eigenlattices of the form under commuting involutions."""
+    if len(char.signs) != len(auts):
+        raise ValueError("character length != action rank")
+    return eigenform_decomposition(J, auts)[0][char]
+
+
+def eigenform_decomposition(J: TruncatedForm,
+                            auts: Sequence[VOAAutomorphism]):
+    """({character: {degree: eigenlattice}} for all 2^r characters,
+    {degree: exponent of the piece over its total eigenlattice}).
+
+    Each exponent must divide 2^r for r listed involutions; violations
+    raise.  Preservation is checked once per automorphism and degree.
+    """
     for a in auts:
         if not a.preserves_form(J):
             raise PreconditionError(
                 "an automorphism does not map the form into itself")
-    V = J.host
-    out = {}
+    chars = Character.all_characters(len(auts))
+    eigen = {ch: {} for ch in chars}
+    exps = {}
     for d in J.degrees():
-        act = graded_sign_action(V, auts, d)
-        out[d] = eigenlattice(J.lattice(d), act, char)
-    return out
+        L, act = J.lattice(d), graded_sign_action(J.host, auts, d)
+        for ch in chars:
+            eigen[ch][d] = common_eigenlattice(L, act.generators, ch.signs)
+        exps[d] = tel_exponent(
+            L, direct_sum([eigen[ch][d] for ch in chars]), act.rank)
+    return eigen, exps
 
 
 def tel_exponents(J: TruncatedForm,
@@ -784,9 +823,7 @@ def tel_exponents(J: TruncatedForm,
 
     Every value must divide 2^r for r listed involutions; violations raise.
     """
-    return {d: tel_exponent_check(J.lattice(d),
-                                  graded_sign_action(J.host, auts, d))[1]
-            for d in J.degrees()}
+    return eigenform_decomposition(J, auts)[1]
 
 
 def invariant_form_intersect(J: TruncatedForm,

@@ -206,32 +206,38 @@ def eigenlattice(lattice: ZLattice, action: SignedAction,
     return common_eigenlattice(lattice, action.generators, char.signs)
 
 
-def total_eigenlattice(lattice: ZLattice, action: SignedAction) -> ZLattice:
-    """Internal direct sum of all 2^r eigenlattices."""
-    parts = [eigenlattice(lattice, action, ch)
-             for ch in Character.all_characters(action.rank)]
-    total = ZLattice.zero(lattice.ambient_dim)
-    rank_sum = 0
+def direct_sum(parts: Sequence[ZLattice]) -> ZLattice:
+    """Sum of the eigenlattices of an action; raises unless it is direct."""
+    total = ZLattice.zero(parts[0].ambient_dim)
     for p in parts:
         total = lattice_sum(total, p)
-        rank_sum += p.rank
-    if total.rank != rank_sum:
+    if total.rank != sum(p.rank for p in parts):
         raise ActionError("eigenlattice sum is not direct")
     return total
 
 
-def tel_exponent_check(lattice: ZLattice, action: SignedAction):
-    """(2^r L <= Tel(L), exact exponent of L/Tel(L)).
+def total_eigenlattice(lattice: ZLattice, action: SignedAction) -> ZLattice:
+    """Internal direct sum of all 2^r eigenlattices."""
+    if not preserves(lattice, action.generators):
+        raise PreservationError("action does not preserve the lattice")
+    return direct_sum([common_eigenlattice(lattice, action.generators, ch.signs)
+                       for ch in Character.all_characters(action.rank)])
 
-    The containment holds for every preserved lattice; a False here would
-    mean the implementation is broken, so it is asserted.
-    """
-    tel = total_eigenlattice(lattice, action)
+
+def tel_exponent(lattice: ZLattice, tel: ZLattice, rank: int) -> int:
+    """Exact exponent of L/Tel(L), Tel(L) the total eigenlattice of a rank-r
+    action.  2^r L <= Tel(L) holds for every preserved lattice; any other
+    exponent means the implementation is broken, so it raises."""
     e = quotient_exponent(lattice, tel)
-    ok = (1 << action.rank) % e == 0
-    if not ok:  # pragma: no cover - impossible for preserved lattices
-        raise ActionError(f"exponent {e} does not divide 2^{action.rank}")
-    return ok, e
+    if (1 << rank) % e:  # pragma: no cover - impossible for preserved lattices
+        raise ActionError(f"exponent {e} does not divide 2^{rank}")
+    return e
+
+
+def tel_exponent_check(lattice: ZLattice, action: SignedAction):
+    """(2^r L <= Tel(L), exact exponent of L/Tel(L))."""
+    tel = total_eigenlattice(lattice, action)
+    return True, tel_exponent(lattice, tel, action.rank)
 
 
 def idempotent_project(vector: Sequence, action: SignedAction,

@@ -128,6 +128,8 @@ class EvenLattice:
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
         g = tuple(tuple(as_integer(x, "gram") for x in row) for row in gram)
         n = len(g)
+        if n == 0:
+            raise ValueError("gram: empty matrix; the rank must be at least 1")
         if any(len(row) != n for row in g):
             raise ValueError("gram matrix is not square")
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):

@@ -425,6 +425,12 @@ MALFORMED = {
     "build-gram-fraction": (lambda t: [
         "build", "--lattice", _write(t, "l.json", '{"gram": [[2.5]]}'),
         "--max-degree", "2"], "lattice: gram"),
+    "build-gram-empty": (lambda t: [
+        "build", "--lattice", _write(t, "l.json", '{"gram": []}'),
+        "--max-degree", "2"], "lattice: gram"),
+    "verify-gram-empty": (lambda t: [
+        "verify", "--manifest", _manifest(t, lattice={"gram": []})],
+        "manifest: gram"),
     "build-gram-infinite": (lambda t: [
         "build", "--lattice", _write(t, "l.json", '{"gram": [[Infinity]]}'),
         "--max-degree", "2"], "lattice: gram"),
@@ -542,3 +548,42 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestTelWork:
+    SWAP_AND_NEGATION = '{"isometries": [[[0, 1], [1, 0]], [[-1, 0], [0, -1]]]}'
+
+    def test_preservation_checked_once(self, tmp_path, built, monkeypatch):
+        """One tel on A2 at cutoff 3 (four degrees, two involutions) checks
+        each (automorphism, degree) pair once and builds one SignedAction
+        per degree."""
+        import voaforms.forms as fm
+        import voaforms.latgroup as lg
+        counts = {"preserves": 0, "actions": 0}
+        preserves, init = lg.preserves, lg.SignedAction.__init__
+
+        def counting_preserves(*args):
+            counts["preserves"] += 1
+            return preserves(*args)
+
+        def counting_init(self, *args):
+            counts["actions"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(lg, "preserves", counting_preserves)
+        monkeypatch.setattr(fm, "preserves", counting_preserves)
+        monkeypatch.setattr(lg.SignedAction, "__init__", counting_init)
+        out = tmp_path / "out.json"
+        assert main(["tel", "--manifest", built["a2n3"], "--action",
+                     _action(tmp_path, self.SWAP_AND_NEGATION),
+                     "--format", "json", "-o", str(out)]) == 0
+        assert counts["preserves"] <= 8 and counts["actions"] <= 4, counts
+
+    def test_non_preserving_action(self, tmp_path, capsys):
+        """The swap does not map the form of e(+-a1), 2 e(+-a2) to itself."""
+        man = _built(tmp_path, "lopsided", A2_LATTICE,
+                     "1 * e(1,0)\n1 * e(-1,0)\n2 * e(0,1)\n2 * e(0,-1)\n", 2)
+        assert main(["tel", "--manifest", man, "--action",
+                     _action(tmp_path, '{"isometries": [[[0, 1], [1, 0]]]}')
+                     ]) == 3
+        assert capsys.readouterr().err == "action does not preserve the form\n"
