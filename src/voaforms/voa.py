@@ -35,7 +35,10 @@ verifies that contract coefficientwise and doubles as the construction's
 oracle in the test suite.
 
 All values are immutable; the memo tables are pure caches (a concurrent
-reader sees exactly what a sequential run would produce).
+reader sees exactly what a sequential run would produce).  Among them is one
+record per monomial (``_record``: degree, last-mode peel, distinct-mode
+lowerings, tail pairings), built on first use, which a table miss reads
+instead of re-deriving those facts.
 """
 
 from __future__ import annotations
@@ -308,10 +311,15 @@ class TruncatedVOA:
         self.product_den = self._fac * self._fac
         self._bases = {}
         self._base_index = {}
-        self._degree = {}
+        self._records = {}
         self._prod = {}
         self._eminus = {}
         self._lifts = {}
+        # iterate-formula lifts (mode order, k shift, factor) per mode order
+        # n; a mode above the cutoff has none
+        self._iterate_lifts = {n: [(n + j, -j, comb(n + j - 1, j))
+                                   for j in range(cutoff - n + 1)]
+                               for n in range(1, cutoff + 1)}
         self._heis = {}
         self._formmat = {}
         self._omega = None
@@ -332,11 +340,30 @@ class TruncatedVOA:
         return -1 if s % 2 else 1
 
     def mono_degree(self, mono: FockMonomial) -> int:
-        d = self._degree.get(mono)
-        if d is None:
-            d = sum(n for n, _ in mono.modes) + self.lattice.norm(mono.tail) // 2
-            self._degree[mono] = d
-        return d
+        return (self._records.get(mono) or self._record(mono))[0]
+
+    def _record(self, mono: FockMonomial) -> tuple:
+        """(degree, peel, lowerings, pairings) of a monomial, memoized.
+
+        peel is (n, i, w, deg w) for the last mode gamma_i(-n) and the
+        monomial w left without it, or None on a bare tail; lowerings holds
+        one (j, l, multiplicity, v) per distinct mode gamma_l(-j), in mode
+        order, v the monomial without one copy of it; pairings[i] is
+        <tail, gamma_i>.
+        """
+        modes, tail = mono
+        lat = self.lattice
+        deg = sum(n for n, _ in modes) + lat.norm(tail) // 2
+        peel = None
+        if modes:
+            n, i = modes[-1]
+            peel = (n, i, FockMonomial(modes[:-1], tail), deg - n)
+        lowerings = tuple(
+            (j, l, c, FockMonomial(_remove_one(modes, (j, l)), tail))
+            for (j, l), c in Counter(modes).items())
+        pairings = tuple(lat.inner_basis(tail, i) for i in range(lat.rank))
+        rec = self._records[mono] = (deg, peel, lowerings, pairings)
+        return rec
 
     def graded_basis(self, degree: int) -> tuple:
         """Canonically ordered monomial basis of the given degree."""
@@ -467,7 +494,8 @@ class TruncatedVOA:
         per ordered monomial pair.
 
         A miss builds the table from memoized tables of smaller pairs
-        (Frenkel-Lepowsky-Meurman 1988), peeling the last mode gamma_i(-n):
+        (Frenkel-Lepowsky-Meurman 1988), peeling the last mode gamma_i(-n)
+        and reading the smaller monomials off the two ``_record``s:
 
         - mb = gamma_i(-n) w, by the commutator formula:
           u_k mb = gamma_i(-n) u_k w
@@ -493,10 +521,13 @@ class TruncatedVOA:
         hit = self._prod.get(key)
         if hit is not None:
             return hit
-        lat = self.lattice
+        records = self._records
+        ra = records.get(ma) or self._record(ma)
+        rb = records.get(mb) or self._record(mb)
         cutoff = self.cutoff
         acc: dict = {}          # k -> {index: num}
-        if not (ma.modes or mb.modes):      # e^alpha_k e^beta
+        if not (ra[1] or rb[1]):            # e^alpha_k e^beta
+            lat = self.lattice
             alpha, beta = ma.tail, mb.tail
             tau = tuple(a + b for a, b in zip(alpha, beta))
             deg = lat.norm(tau) // 2
@@ -508,28 +539,23 @@ class TruncatedVOA:
                 acc[k0 - e] = {index[FockMonomial(modes, tau)]: f * c
                                for modes, c in eser[e].items()}
         else:
-            if mb.modes:                    # commutator formula
-                n, i = mb.modes[-1]
-                u, w = ma, FockMonomial(mb.modes[:-1], mb.tail)
+            if rb[1]:                       # commutator formula
+                n, i, w, dw = rb[1]
+                u, d = ma, ra[0] + dw
                 lifts = ((n, 0, 1),)    # (mode order, k shift, factor)
-                z = -lat.inner_basis(ma.tail, i)
-                g = lat.gram[i]
-                for j, l in dict.fromkeys(ma.modes):
+                z = -ra[3][i]
+                g = self.lattice.gram[i]
+                for j, l, c, v in ra[2]:
                     if g[l]:
-                        f = (j * g[l] * ma.modes.count((j, l))
-                             * comb(n + j - 1, j))
-                        v = FockMonomial(_remove_one(ma.modes, (j, l)),
-                                         ma.tail)
+                        f = j * g[l] * c * comb(n + j - 1, j)
                         for k, bucket in self.pair_products(v, w).items():
                             _add_bucket(acc, k + n + j, bucket,
                                         f if j % 2 else -f)
             else:                           # iterate formula
-                n, i = ma.modes[-1]
-                u, w = FockMonomial(ma.modes[:-1], ma.tail), mb
-                lifts = [(n + j, -j, comb(n + j - 1, j))
-                         for j in range(cutoff - n + 1)]
-                z = lat.inner_basis(mb.tail, i) * (1 if n % 2 else -1)
-            d = self.mono_degree(u) + self.mono_degree(w)
+                n, i, u, du = ra[1]
+                w, d = mb, du + rb[0]
+                lifts = self._iterate_lifts.get(n, ())
+                z = rb[3][i] * (1 if n % 2 else -1)
             for k, bucket in self.pair_products(u, w).items():
                 t = d - k - 1
                 for m, s, f in lifts:
@@ -637,8 +663,15 @@ class TruncatedVOA:
         """Gram matrix of the invariant form on graded_basis(degree)."""
         hit = self._formmat.get(degree)
         if hit is None:
+            # only monomials of opposite tails pair to a nonzero value
             basis = self.graded_basis(degree)
-            hit = [[self.pair_form(a, b) for b in basis] for a in basis]
+            by_tail: dict = {}
+            for q, b in enumerate(basis):
+                by_tail.setdefault(b.tail, []).append((q, b))
+            hit = [[0] * len(basis) for _ in basis]
+            for row, a in zip(hit, basis):
+                for q, b in by_tail.get(tuple(-t for t in a.tail), ()):
+                    row[q] = self.pair_form(a, b)
             self._formmat[degree] = hit
         return hit
 
@@ -779,12 +812,19 @@ class TruncatedVOA:
                     i_ = int(mh.group(1)) - 1
                     n_ = -int(mh.group(2))
                     exp = int(mh.group(3) or 1)
+                    if exp < 1:
+                        raise ElementParseError(
+                            f"exponent must be at least 1 in {piece!r}")
                     if not (0 <= i_ < self.lattice.rank):
                         raise ElementParseError(
                             f"mode index out of range in {piece!r}")
                     if n_ < 1:
                         raise ElementParseError(
                             f"mode order must be negative in {piece!r}")
+                    if n_ * exp > self.cutoff:
+                        raise CutoffExceededError(
+                            f"{piece!r} has degree beyond cutoff "
+                            f"{self.cutoff}")
                     modes.extend([(n_, i_)] * exp)
                     continue
                 me = self._TERM_E.match(piece)

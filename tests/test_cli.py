@@ -413,6 +413,10 @@ MALFORMED = {
         "build", "--lattice", _lattice(t),
         "--generators", _write(t, "g.txt", "1 * e(1)\n1/0 * e(-1)\n"),
         "--max-degree", "2"], "generators: line 2"),
+    "build-generator-zero-exponent": (lambda t: [
+        "build", "--lattice", _lattice(t),
+        "--generators", _write(t, "g.txt", "1 * h(1,-1)^0 * e(0)\n"),
+        "--max-degree", "2"], "generators: line 1"),
     **{f"{command}-zero-denominator": (lambda t, command=command: [
         command, "--manifest", _manifest(t, generators=ZERO_DENOMINATOR)]
         + {"tel": ["--action", _action(t)],

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -381,7 +382,8 @@ class TestIntegerKernelMatchesFractions:
                                               ([[2, 1], [1, 4]], 3),
                                               ([[2, -1], [-1, 2]], 3),
                                               ([[2, -1, 0], [-1, 2, -1],
-                                                [0, -1, 2]], 2)])
+                                                [0, -1, 2]], 2),
+                                              ([[2, 0], [0, 2]], 3)])
     def test_every_monomial_pair(self, gram, cutoff):
         V = TruncatedVOA(EvenLattice(gram), cutoff)
         assert V.product_den == factorial(cutoff) ** 2
@@ -392,6 +394,26 @@ class TestIntegerKernelMatchesFractions:
         V = TruncatedVOA(EvenLattice([[2]]), 6)
         assert V.product_den == factorial(6) ** 2
         assert self.check_pairs(V, 6) == 643
+
+    @pytest.mark.parametrize("gram, cutoff, pairs, digest", [
+        ([[2]], 5, 2209, "a7dfec0b87674dee"),
+        ([[2, 1], [1, 2]], 3, 5184, "e7a2ae650cb5b69b"),
+        ([[2, 0], [0, 2]], 3, 3844, "5f192f66d5fe6f5a")])
+    def test_packed_tables_are_pinned(self, gram, cutoff, pairs, digest):
+        # index order, dropped zeros and k order, not only the values
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        monos = [(d, m) for d in range(cutoff + 1)
+                 for m in V.graded_basis(d)]
+        tables = [V.pair_products(ma, mb) for da, ma in monos
+                  for db, mb in monos if da + db <= 2 * cutoff]
+        assert len(tables) == pairs
+        assert hashlib.sha256(
+            repr(tables).encode()).hexdigest()[:16] == digest
+
+    def test_mode_above_the_cutoff_has_no_products_within_it(self):
+        V = TruncatedVOA(EvenLattice([[2]]), 2)
+        assert V.pair_products(FockMonomial(((3, 0),), (0,)),
+                               V.vacuum_monomial()) == {}
 
 
 class TestPackedBuckets:
@@ -477,6 +499,16 @@ class TestBilinearForm:
                 for x in a1.graded_basis(p):
                     for y in a1.graded_basis(q):
                         assert a1.pair_form(x, y) == 0
+
+    @pytest.mark.parametrize("gram, cutoff", [
+        ([[2]], 5), ([[2, 1], [1, 2]], 4),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3)])
+    def test_form_matrix_is_all_pairs(self, gram, cutoff):
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        for d in range(cutoff + 1):
+            basis = V.graded_basis(d)
+            assert V.form_matrix(d) == [[V.pair_form(a, b) for b in basis]
+                                        for a in basis]
 
 
 class TestVirasoro:
@@ -592,6 +624,16 @@ class TestLiterals:
                     "1 * e(0,0)", "1 * h(1,1) * e(0)"]:
             with pytest.raises((ElementParseError, CutoffExceededError)):
                 a1.parse_element(bad)
+
+    @pytest.mark.parametrize("factor", ["h(1,-1)^0", "h(1,-1)^00"])
+    def test_zero_exponent_rejected(self, a1, factor):
+        with pytest.raises(ElementParseError, match=r"exponent.*\^0"):
+            a1.parse_element(f"1 * {factor} * e(0)")
+
+    def test_exponent_beyond_cutoff_rejected_before_expansion(self, a1):
+        # the factor is checked before its 10^12 modes would be listed
+        with pytest.raises(CutoffExceededError, match=r"h\(1,-1\)\^10"):
+            a1.parse_element("1 * h(1,-1)^1000000000000 * e(0)")
 
 
 class TestMonomialVector:
