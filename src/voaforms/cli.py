@@ -257,7 +257,10 @@ def _suite_vacuum_line(V, J, manifest):
 
 def _suite_dual_stability(V, J, manifest):
     for n in range(1, min(4, V.cutoff) + 1):
-        ok, witness = fm.dual_stability_check(J, n, return_witness=True)
+        try:
+            ok, witness = fm.dual_stability_check(J, n, return_witness=True)
+        except fm.FormError as e:
+            return False, str(e)
         if not ok:
             return False, f"order {n}: witness degree {witness[0]}"
     return True, None
@@ -403,14 +406,17 @@ def _render_rescale_text(p: dict) -> str:
 
 def cmd_dual(args) -> int:
     _, V, J = _load_form(args.manifest, args.iter_bound)
-    duals = fm.dual_form(J)
+    try:
+        duals = fm.dual_form(J)
+        stability = {str(n): fm.dual_stability_check(J, n)
+                     for n in range(1, args.stability_order + 1)}
+    except fm.FormError as e:
+        sys.stderr.write(f"dual failed: {e}\n")
+        return EXIT_VERIFY_FAIL
     table = {str(d): {"rank": duals.lattice(d).rank,
                       "denominator": duals.lattice(d).den,
                       "span_relative": d in duals.low_rank_degrees}
              for d in duals.degrees()}
-    stability = {}
-    for n in range(1, args.stability_order + 1):
-        stability[str(n)] = fm.dual_stability_check(J, n)
     payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
                "degrees": table,
                "stability": stability,

@@ -191,7 +191,7 @@ def dihedral_2a_report() -> dict:
     natural = alg.gram
     ab_vec = alg.multiply([1, 0, 0], [0, 1, 0])
     ad_ab = ad_matrix(alg, ab_vec)
-    nat_ok, nat_wit = is_associative_form(alg, natural)
+    nat_ok, _ = is_associative_form(alg, natural)
     kil_ok, kil_wit = is_associative_form(alg, killing)
     ratio = proportionality_check(killing, natural)
 
@@ -223,5 +223,4 @@ def dihedral_2a_report() -> dict:
         }
     if ratio is not None:  # pragma: no cover - 2A grams are not proportional
         report["ratio"] = format_rational(ratio)
-    del nat_wit
     return report

@@ -114,12 +114,6 @@ class QMatrix:
         return QMatrix(self.rows, self.cols,
                        [a + b for a, b in zip(self.entries, other.entries)])
 
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("matrix shapes differ")
-        return QMatrix(self.rows, self.cols,
-                       [a - b for a, b in zip(self.entries, other.entries)])
-
     def scale(self, c) -> "QMatrix":
         c = Fraction(c)
         return QMatrix(self.rows, self.cols, [c * e for e in self.entries])
@@ -135,11 +129,6 @@ class QMatrix:
                 out.append(sum((ai[k] * b[k][j] for k in range(self.cols)),
                                Fraction(0)))
         return QMatrix(self.rows, other.cols, out)
-
-    def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            return self.__matmul__(other)
-        return self.scale(other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QMatrix)

@@ -88,6 +88,10 @@ class RankMismatchError(FormError):
     """Degreewise ranks differ, so the comparison is meaningless."""
 
 
+class DegeneratePieceError(FormError, DegenerateFormError):
+    """The invariant form is degenerate on a degree piece of the form."""
+
+
 class TruncatedForm:
     """Degree-indexed lattice family inside a truncated VOA."""
 
@@ -387,7 +391,7 @@ def _degree_dual(J: TruncatedForm, d: int) -> ZLattice:
         try:
             hit = int_dual_lattice(J.lattice(d), J.host.form_matrix(d))
         except DegenerateFormError:
-            raise DegenerateFormError(
+            raise DegeneratePieceError(
                 f"invariant form degenerate on the degree-{d} piece")
         J._duals[d] = hit
     return hit
@@ -522,7 +526,7 @@ def rescale_to_integral(J: TruncatedForm, t: int,
         dual = _degree_dual(J, s)
         inter = lattice_intersect(L, dual)
         if inter.rank != L.rank:
-            raise DegenerateFormError(
+            raise DegeneratePieceError(
                 f"degree-{s} dual intersection lost rank")
         m1 = lcm(m1, quotient_exponent(L, inter))
         m2 = lcm(m2, quotient_exponent(dual, inter))
@@ -559,14 +563,6 @@ class QPCertificate:
     def passed(self) -> bool:
         return self.quasi_primary and self.li_certificate is not None \
             and self.li_certificate.passed
-
-    def to_json(self) -> dict:
-        out = {"quasi_primary": self.quasi_primary,
-               "non_quasi_primary_indices": self.non_quasi_primary_indices,
-               "passed": self.passed}
-        if self.li_certificate is not None:
-            out["integrality"] = self.li_certificate.to_json()
-        return out
 
 
 def quasi_primary_integrality_check(V: TruncatedVOA,
@@ -765,18 +761,24 @@ def parity_sign_map(V: TruncatedVOA, index: int) -> VOAAutomorphism:
 # fixed points, eigenforms, invariant intersections
 # ---------------------------------------------------------------------------
 
-def fixed_subform(J: TruncatedForm,
-                  auts: Sequence[VOAAutomorphism]) -> TruncatedForm:
-    """Degreewise common fixed lattice of the listed automorphisms."""
+def _eigenform(J: TruncatedForm, auts: Sequence[VOAAutomorphism],
+               signs: Sequence[int], matrices) -> dict:
+    """{degree: sublattice of J's piece on which each matrices(degree)[i]
+    acts by signs[i]}; every automorphism must preserve J."""
     for a in auts:
         if not a.preserves_form(J):
             raise PreconditionError(
                 "an automorphism does not map the form into itself; "
                 "intersect over the group first")
-    return TruncatedForm(J.host, {
-        d: common_eigenlattice(J.lattice(d), [a.matrix(d) for a in auts],
-                               [1] * len(auts))
-        for d in J.degrees()})
+    return {d: common_eigenlattice(J.lattice(d), matrices(d), signs)
+            for d in J.degrees()}
+
+
+def fixed_subform(J: TruncatedForm,
+                  auts: Sequence[VOAAutomorphism]) -> TruncatedForm:
+    """Degreewise common fixed lattice of the listed automorphisms."""
+    return TruncatedForm(J.host, _eigenform(
+        J, auts, [1] * len(auts), lambda d: [a.matrix(d) for a in auts]))
 
 
 def graded_sign_action(V: TruncatedVOA, auts: Sequence[VOAAutomorphism],
@@ -790,7 +792,9 @@ def character_eigenform(J: TruncatedForm, auts: Sequence[VOAAutomorphism],
     """Degreewise eigenlattices of the form under commuting involutions."""
     if len(char.signs) != len(auts):
         raise ValueError("character length != action rank")
-    return eigenform_decomposition(J, auts)[0][char]
+    return _eigenform(
+        J, auts, char.signs,
+        lambda d: graded_sign_action(J.host, auts, d).generators)
 
 
 def eigenform_decomposition(J: TruncatedForm,

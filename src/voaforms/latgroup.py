@@ -168,10 +168,6 @@ class Character:
     def all_characters(rank: int):
         return [Character(signs) for signs in iproduct((1, -1), repeat=rank)]
 
-    @staticmethod
-    def trivial(rank: int) -> "Character":
-        return Character((1,) * rank)
-
 
 def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
                         signs: Sequence[int]) -> ZLattice:

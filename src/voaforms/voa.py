@@ -9,19 +9,19 @@ the canonical quadratic element.
 
 The product kernel runs on ints: ``pair_products`` gives integer tables
 over (N!)^2 at cutoff N, one per ordered monomial pair, each bucket a
-tuple of packed ints (num << INDEX_BITS) | index that only
-``_products_all_k`` decodes: ``vertex_product`` and every product test of
-the form layer multiply int rows through it.  A table is built from the
-memoized tables of smaller pairs: the commutator formula peels the right
-monomial's modes, the iterate formula then the left one's, and the base
-case e^alpha_k e^beta is one layer of the creation exponential.  A
-creation mode maps a basis monomial to one basis monomial, so each step
-remaps smaller tables by index lists and adds them with integer factors;
-no intermediate lands above the degree being built.  The creation
-exponential factors over commuting modes: prod gamma_i(-n)^j has
-coefficient prod alpha_i^j / (n^j j!), whose denominator divides N! (a
-checked divmod that raises on a remainder).  The invariant form is
-integral.
+tuple of packed ints (num << INDEX_BITS) | index that stays inside this
+module: the kernel adds smaller buckets into a table with
+``_add_bucket``, and ``vertex_product`` and every product test of the form
+layer multiply int rows through ``_products_all_k``.  A table is built from
+the memoized tables of smaller pairs: the commutator formula peels the
+right monomial's modes, the iterate formula then the left one's, and the
+base case e^alpha_k e^beta is built layer by layer from the creation
+exponential E(z) = exp(sum alpha(-n) z^n / n), whose degree-e layer
+satisfies e E_e = sum_{n<=e} alpha(-n) E_{e-n}.  A creation mode maps a
+basis monomial to one basis monomial, so each step remaps smaller tables
+by index lists and adds them with integer factors; no intermediate lands
+above the degree being built.  The division by e is a checked divmod that
+raises on a remainder.  The invariant form is integral.
 
 Conventions.  A monomial is a multiset of modes gamma_i(-n) (n >= 1, i a
 basis index) applied to the ground state e^alpha; its degree is the sum of
@@ -37,8 +37,8 @@ oracle in the test suite.
 All values are immutable; the memo tables are pure caches (a concurrent
 reader sees exactly what a sequential run would produce).  Among them is one
 record per monomial (``_record``: degree, last-mode peel, distinct-mode
-lowerings, tail pairings), built on first use, which a table miss reads
-instead of re-deriving those facts.
+lowerings, tail pairings), built on first use, which a table miss and the
+form pairing read instead of re-deriving those facts.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ class GradedVector:
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + other.scale(-1)
-
-    def __neg__(self) -> "GradedVector":
-        return self.scale(-1)
 
     def scale(self, c) -> "GradedVector":
         c = Fraction(c)
@@ -307,20 +304,17 @@ class TruncatedVOA:
         self.lattice = lattice
         self.cutoff = cutoff
         # pair_products numerators are over product_den = (N!)^2
-        self._fac = factorial(cutoff)
-        self.product_den = self._fac * self._fac
+        self.product_den = factorial(cutoff) ** 2
         self._bases = {}
         self._base_index = {}
         self._records = {}
         self._prod = {}
-        self._eminus = {}
         self._lifts = {}
         # iterate-formula lifts (mode order, k shift, factor) per mode order
         # n; a mode above the cutoff has none
         self._iterate_lifts = {n: [(n + j, -j, comb(n + j - 1, j))
                                    for j in range(cutoff - n + 1)]
                                for n in range(1, cutoff + 1)}
-        self._heis = {}
         self._formmat = {}
         self._omega = None
         self._l1_chain = {}
@@ -456,31 +450,6 @@ class TruncatedVOA:
         return GradedVector({m: Fraction(c) for m, c in zip(basis, row) if c},
                             self.cutoff)
 
-    # -- exponential series ---------------------------------------------------
-
-    def _eminus_series(self, alpha: tuple) -> list:
-        """Creation exponential by output degree: [degree] -> {modes: num}.
-
-        The coefficient of prod gamma_i(-n)^j is prod alpha_i^j / (n^j j!);
-        numerators are over N!.
-        """
-        hit = self._eminus.get(alpha)
-        if hit is not None:
-            return hit
-        series = []
-        for d in range(self.cutoff + 1):
-            layer = {}
-            for modes in _mode_multisets(d, self.lattice.rank):
-                num, den = 1, 1
-                for (n, i), j in Counter(modes).items():
-                    num *= alpha[i] ** j
-                    den *= n ** j * factorial(j)
-                if num:
-                    layer[modes] = _exact_div(self._fac, den) * num
-            series.append(layer)
-        self._eminus[alpha] = series
-        return series
-
     # -- vertex products ------------------------------------------------------
 
     def pair_products(self, ma: FockMonomial, mb: FockMonomial) -> dict:
@@ -489,7 +458,7 @@ class TruncatedVOA:
         A bucket is a tuple of ints (num << INDEX_BITS) | index, one per
         nonzero term, sorted by index: num / product_den is the coefficient
         of graded_basis(target)[index] in ma_k mb, for target = deg(ma) +
-        deg(mb) - k - 1.  Only _products_all_k decodes them.
+        deg(mb) - k - 1.  Only _add_bucket and _products_all_k decode them.
         Much of the library reduces to this kernel; results are memoized
         per ordered monomial pair.
 
@@ -507,8 +476,9 @@ class TruncatedVOA:
           ma_k e^beta = sum_j C(n+j-1, j) gamma_i(-n-j) u_{k+j} e^beta
                         - (-1)^n <gamma_i, beta> u_{k-n} e^beta;
         - e^alpha_k e^beta = eps(alpha, beta) times the degree
-          -k-1-<alpha, beta> layer of alpha's creation exponential on
-          e^(alpha+beta).
+          e = -k-1-<alpha, beta> layer E_e of alpha's creation exponential
+          on e^(alpha+beta), where E_0 = 1 and
+          e E_e = sum_{n=1..e} sum_i alpha_i gamma_i(-n) E_{e-n}.
 
         A creation mode gamma_i(-m) maps each basis monomial to one basis
         monomial, so a table is a sum of smaller tables remapped by the
@@ -531,13 +501,19 @@ class TruncatedVOA:
             alpha, beta = ma.tail, mb.tail
             tau = tuple(a + b for a, b in zip(alpha, beta))
             deg = lat.norm(tau) // 2
-            f = self.epsilon(alpha, beta) * self._fac
             k0 = -lat.inner(alpha, beta) - 1
-            eser = self._eminus_series(alpha)
-            for e in range(cutoff - deg + 1):
-                index = self.basis_index(deg + e)
-                acc[k0 - e] = {index[FockMonomial(modes, tau)]: f * c
-                               for modes, c in eser[e].items()}
+            if deg <= cutoff:
+                acc[k0] = {self.basis_index(deg)[FockMonomial((), tau)]:
+                           self.epsilon(alpha, beta) * self.product_den}
+            for e in range(1, cutoff - deg + 1):
+                layer: dict = {}
+                for n in range(1, e + 1):
+                    for i, a in enumerate(alpha):
+                        if a:
+                            up = self._raised(deg + e - n, n, i)
+                            for x, c in acc[k0 - e + n].items():
+                                layer[up[x]] = layer.get(up[x], 0) + a * c
+                acc[k0 - e] = {x: _exact_div(c, e) for x, c in layer.items()}
         else:
             if rb[1]:                       # commutator formula
                 n, i, w, dw = rb[1]
@@ -623,24 +599,19 @@ class TruncatedVOA:
 
     # -- bilinear form ---------------------------------------------------------
 
-    def _heis_pair(self, ma: tuple, mb: tuple) -> int:
-        if len(ma) != len(mb):
+    def _heis_pair(self, ma: FockMonomial, mb: FockMonomial) -> int:
+        """The Heisenberg part of <ma, mb>: peel ma's last mode gamma_i(-n),
+        pair it with each copy of a mode gamma_l(-n) of mb."""
+        if len(ma.modes) != len(mb.modes):
             return 0
-        if not ma:
+        if not ma.modes:
             return 1
-        key = (ma, mb)
-        hit = self._heis.get(key)
-        if hit is not None:
-            return hit
-        n_, i_ = ma[0]
-        total = 0
-        for (m2, j2), c in Counter(mb).items():
-            g = self.lattice.gram[i_][j2]
-            if m2 == n_ and g:
-                total -= n_ * g * c * self._heis_pair(
-                    ma[1:], _remove_one(mb, (m2, j2)))
-        self._heis[key] = total
-        return total
+        records = self._records
+        n, i, w, _ = (records.get(ma) or self._record(ma))[1]
+        g = self.lattice.gram[i]
+        return sum(-n * g[l] * c * self._heis_pair(w, v)
+                   for j, l, c, v in (records.get(mb) or self._record(mb))[2]
+                   if j == n and g[l])
 
     def pair_form(self, ma: FockMonomial, mb: FockMonomial) -> int:
         if any(a + b for a, b in zip(ma.tail, mb.tail)):
@@ -648,7 +619,7 @@ class TruncatedVOA:
         s = self.epsilon(ma.tail, tuple(-t for t in ma.tail))
         if (self.lattice.norm(ma.tail) // 2) % 2:
             s = -s
-        return s * self._heis_pair(ma.modes, mb.modes)
+        return s * self._heis_pair(ma, mb)
 
     def bilinear_form(self, u: GradedVector, v: GradedVector) -> Fraction:
         total = Fraction(0)

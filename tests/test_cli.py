@@ -199,7 +199,7 @@ class TestDeterminism:
 
 
 class TestGolden:
-    """JSON reports for A1 at cutoff 3, byte for byte (seed 0 unless set)."""
+    """Reports for A1 at cutoff 3, byte for byte (seed 0 unless set)."""
 
     @pytest.mark.parametrize("name, argv", [
         ("build", ["build", "--lattice", "{lattice}", "--generators",
@@ -217,10 +217,12 @@ class TestGolden:
         action.write_text('{"isometries": [[[-1]]]}')
         paths = {"lattice": lat, "generators": gens, "action": action,
                  "manifest": GOLDEN / "build.json"}
-        out = tmp_path / "out.json"
+        out = tmp_path / "out"
         argv = [a.format(**paths) for a in argv]
-        assert main(argv + ["--format", "json", "-o", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+        for fmt, suffix in (("json", "json"), ("text", "txt")):
+            assert main(argv + ["--format", fmt, "-o", str(out)]) == 0
+            assert out.read_bytes() == \
+                (GOLDEN / f"{name}.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("name, argv", [
         ("dual-a2n3", ["dual", "--manifest", "{a2n3}",
@@ -263,7 +265,9 @@ def built(tmp_path_factory):
     t = tmp_path_factory.mktemp("manifests")
     return {"a2n3": _built(t, "a2n3", A2_LATTICE, A2_GENERATORS, 3),
             "a1n4_sum": _built(t, "a1n4-sum", '{"rank": 1, "gram": [[2]]}',
-                               "1 * e(1) + 1 * e(-1)\n", 4)}
+                               "1 * e(1) + 1 * e(-1)\n", 4),
+            "isotropic": _built(t, "isotropic", '{"rank": 1, "gram": [[2]]}',
+                                "1 * e(1)\n", 3)}
 
 
 def _write(tmp_path, name, data):
@@ -535,6 +539,23 @@ class TestExitCodes:
             argv += ["--other", man]
         assert main(argv) == 2
         assert "growth trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dual", "rescale"])
+    def test_isotropic_piece_exits_3(self, built, capsys, command):
+        """J_1 = Z e^gamma is isotropic, so the form has no degree-1 dual."""
+        assert main([command, "--manifest", built["isotropic"]]) == 3
+        assert capsys.readouterr().err == (
+            f"{command} failed: invariant form degenerate on the degree-1 "
+            f"piece\n")
+
+    def test_isotropic_piece_fails_verify(self, built, capsys):
+        assert main(["verify", "--manifest", built["isotropic"],
+                     "--format", "json"]) == 3
+        failed = {r["suite"]: r["detail"] for r in
+                  json.loads(capsys.readouterr().out)["results"]
+                  if not r["passed"]}
+        assert set(failed) == {"dual-stability", "rescale"}
+        assert all("degree-1" in detail for detail in failed.values())
 
     @pytest.mark.parametrize("argv", [
         ["build", "--lattice", "a1.json", "--max-degree", "abc"],

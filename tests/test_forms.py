@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from voaforms.exact import ZLattice, lattice_sum, quotient_exponent
-from voaforms.latgroup import Character
+from voaforms.latgroup import Character, common_eigenlattice
 import voaforms.forms as fm
 from voaforms.forms import (
     ConclusionError,
@@ -578,6 +578,26 @@ class TestFixedAndEigenforms:
         assert row in lat
         _, h_row = v4.coords(v4.monomial_vector([(1, 0)], [0]))
         assert h_row in lat
+
+    def test_character_eigenform_is_one_family(self, j4, theta, tau,
+                                               monkeypatch):
+        """Each character's family equals the decomposition's, built from
+        one common_eigenlattice call per degree."""
+        cases = [(auts, fm.eigenform_decomposition(j4, auts)[0])
+                 for auts in ([theta], [theta, tau])]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return common_eigenlattice(*args)
+
+        monkeypatch.setattr(fm, "common_eigenlattice", counting)
+        for auts, families in cases:
+            for char in Character.all_characters(len(auts)):
+                calls.clear()
+                assert fm.character_eigenform(j4, auts, char) == \
+                    families[char]
+                assert len(calls) == len(j4.degrees())
 
     def test_tel_exponents_divide_group_order(self, j4, theta, tau):
         for auts in ([theta], [theta, tau]):

@@ -510,6 +510,17 @@ class TestBilinearForm:
             assert V.form_matrix(d) == [[V.pair_form(a, b) for b in basis]
                                         for a in basis]
 
+    @pytest.mark.parametrize("gram, cutoff, digest", [
+        ([[2]], 6, "b955959095494b9e"),
+        ([[2, 1], [1, 2]], 4, "9835327bf735300d"),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3, "e8aa21ad7307437e")])
+    def test_form_matrices_are_pinned(self, gram, cutoff, digest):
+        # the matrices themselves, which pair_form alone does not fix
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        forms = [V.form_matrix(d) for d in range(cutoff + 1)]
+        assert hashlib.sha256(
+            repr(forms).encode()).hexdigest()[:16] == digest
+
 
 class TestVirasoro:
     def test_omega_a1(self, a1):
