@@ -63,7 +63,7 @@ def _read_text(path: str, what: str) -> str:
 def _load_json(path: str, what: str) -> dict:
     try:
         data = json.loads(_read_text(path, what))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, digits or depth
         raise InputError(f"{what}: invalid JSON in {path}: {e}")
     if not isinstance(data, dict):
         raise InputError(f"{what}: {path} does not hold a JSON object")
@@ -456,9 +456,13 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
     auts = []
     for i, m in enumerate(mats):
         try:
-            auts.append(fm.VOAAutomorphism(V, m, signs[i]))
+            aut = fm.VOAAutomorphism(V, m, signs[i])
         except (ValueError, TypeError) as e:
             raise InputError(f"action: isometry {i}: {e}")
+        if aut in auts:  # each copy would double the characters of tel
+            raise InputError(
+                f"action: isometry {i}: repeats isometry {auts.index(aut)}")
+        auts.append(aut)
     return auts
 
 

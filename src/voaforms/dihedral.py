@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from voaforms.exact import QMatrix, format_rational, parse_rational
+from voaforms.exact import QMatrix, format_rational
 
 
 class FiniteAlgebra:
@@ -73,13 +73,6 @@ class FiniteAlgebra:
             "gram": [[format_rational(self.gram.entry(i, j))
                       for j in range(self.dim)] for i in range(self.dim)],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FiniteAlgebra":
-        consts = [[[parse_rational(c) for c in row] for row in plane]
-                  for plane in data["constants"]]
-        gram = [[parse_rational(x) for x in row] for row in data["gram"]]
-        return cls(data["labels"], consts, gram)
 
 
 def dihedral_2a() -> FiniteAlgebra:

@@ -13,6 +13,7 @@ of its inputs and may be evaluated concurrently without coordination.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -35,7 +36,12 @@ class DegenerateFormError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (decimal strings) into a Fraction."""
+    """Parse ``"p/q"`` or ``"p"`` (signed decimal digits) into a Fraction.
+
+    Anything else, decimal points and exponents included, raises ValueError.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text.strip()):
+        raise ValueError(f"not of the form p/q: {text!r}")
     return Fraction(text.strip())
 
 
@@ -169,15 +175,6 @@ class QMatrix:
                                     for i in range(n)])
         return QMatrix(n, n, [Fraction(den * x, det)
                               for row in y for x in row])
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [format_rational(e) for e in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QMatrix":
-        return cls(int(data["rows"]), int(data["cols"]),
-                   [parse_rational(e) for e in data["entries"]])
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +508,6 @@ class ZLattice:
     def __repr__(self) -> str:
         return (f"ZLattice(dim={self.ambient_dim}, rank={self.rank}, "
                 f"den={self.den})")
-
-    def to_json(self) -> dict:
-        return {"ambient_dim": self.ambient_dim,
-                "basis": self.basis.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ZLattice":
-        mat = QMatrix.from_json(data["basis"])
-        return cls.from_rows(int(data["ambient_dim"]), mat.row_list())
 
 
 def hnf(matrix: QMatrix) -> QMatrix:

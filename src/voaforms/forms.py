@@ -7,6 +7,8 @@ landing below the cutoff, certify lattice integrality degree by degree,
 compute dual families and their stability under the raising operators, run
 the two rescaling constructions that turn nearly-integral data into integral
 data, and intersect or decompose forms under finite automorphism groups.
+A lifted lattice isometry acts through one integer matrix per degree, built
+directly from its action on modes and tails.
 
 Every certificate produced here is truncation-scoped: it speaks about
 degrees up to the host's cutoff and says so explicitly in its ``scope``
@@ -49,6 +51,7 @@ from voaforms.latgroup import (
 )
 from voaforms.voa import (
     EvenLattice,
+    FockMonomial,
     GradedVector,
     NotHomogeneousError,
     TruncatedVOA,
@@ -407,12 +410,15 @@ def dual_stability_check(J: TruncatedForm, n: int,
         raise PreconditionError("the vacuum does not lie in the form")
     V = J.host
     duals = dual_form(J)
+    degrees = [d for d in duals.degrees() if d >= n]  # the rest map to 0
+    if not degrees:
+        return (True, None) if return_witness else True
     wden, omega = V.int_rows(V.virasoro_element())
     omega = omega[2]
     scale = 1  # n! (wden * product_den)^n: the image is over lat.den * scale
     for i in range(1, n + 1):
         scale *= i * wden * V.product_den
-    for s in [d for d in duals.degrees() if d >= n]:  # the rest map to 0
+    for s in degrees:
         lat = duals.lattice(s)
         target = duals.lattices.get(s - n)
         for t, nz in enumerate(lat.nonzeros):
@@ -635,23 +641,12 @@ class VOAAutomorphism:
         self.isometry = S
         self.basis_signs = signs
         self._mats = {}
-        self._delta = self._delta_table()
-
-    def _delta_table(self):
-        V = self.host
-        n = V.lattice.rank
-        S = self.isometry
-        out = []
-        for i in range(n):
-            row = []
-            ei = tuple(int(a == i) for a in range(n))
-            si = tuple(S[a][i] for a in range(n))
-            for j in range(n):
-                ej = tuple(int(a == j) for a in range(n))
-                sj = tuple(S[a][j] for a in range(n))
-                row.append(V.epsilon(ei, ej) * V.epsilon(si, sj))
-            out.append(tuple(row))
-        return tuple(out)
+        # delta[i][j] = eps(e_i, e_j) eps(S e_i, S e_j), S e_i column i of S
+        unit = [[int(a == i) for a in range(n)] for i in range(n)]
+        cols = tuple(zip(*S))
+        self._delta = tuple(tuple(V.epsilon(unit[i], unit[j])
+                                  * V.epsilon(cols[i], cols[j])
+                                  for j in range(n)) for i in range(n))
 
     def tail_sign(self, alpha: Sequence[int]) -> int:
         """The coboundary sign on e^alpha."""
@@ -670,61 +665,45 @@ class VOAAutomorphism:
         return -1 if par else 1
 
     def apply(self, v: GradedVector) -> GradedVector:
+        """Image of v, one homogeneous component at a time."""
         V = self.host
-        S = self.isometry
-        n = V.lattice.rank
         out: dict = {}
-        for mono, coeff in v.terms.items():
-            tail = tuple(apply_matrix(S, mono.tail))
-            base = coeff * self.tail_sign(mono.tail)
-            spread = [((), base)]
-            for (m_, i_) in mono.modes:
-                nxt = []
-                for modes, c in spread:
-                    for a in range(n):
-                        s = S[a][i_]
-                        if s:
-                            nxt.append((modes + ((m_, a),), c * s))
-                spread = nxt
-            for modes, c in spread:
-                key = type(mono)(tuple(sorted(modes)), tail)
-                out[key] = out.get(key, Fraction(0)) + c
+        for d, comp in V.homogeneous_components(v).items():
+            img = apply_matrix(self.matrix(d), V.coords(comp)[1])
+            out.update(V.vector_from_coords(d, img).terms)
         return GradedVector(out, v.cutoff)
 
     def matrix(self, degree: int) -> tuple:
-        """Induced integer matrix on graded_basis(degree) (column action)."""
+        """Induced integer matrix on graded_basis(degree) (column action):
+        each gamma_i(-m) goes to sum_a S[a][i] gamma_a(-m), and e^alpha to
+        tail_sign(alpha) e^(S alpha) (Frenkel-Lepowsky-Meurman 1988)."""
         hit = self._mats.get(degree)
         if hit is not None:
             return hit
         V = self.host
-        basis = V.graded_basis(degree)
+        S = self.isometry
         idx = V.basis_index(degree)
-        dim = len(basis)
-        cols = []
-        for mono in basis:
-            img = self.apply(GradedVector({mono: Fraction(1)}, V.cutoff))
-            col = [0] * dim
-            for m2, c in img.terms.items():
-                if c.denominator != 1:  # pragma: no cover - integer by design
-                    raise ValueError("automorphism matrix not integral")
-                col[idx[m2]] = int(c)
-            cols.append(col)
-        mat = tuple(tuple(cols[j][i] for j in range(dim))
-                    for i in range(dim))
+        mat = [[0] * len(idx) for _ in idx]
+        for j, mono in enumerate(V.graded_basis(degree)):
+            tail = tuple(apply_matrix(S, mono.tail))
+            spread = [((), self.tail_sign(mono.tail))]
+            for m_, i_ in mono.modes:
+                spread = [(modes + ((m_, a),), c * S[a][i_])
+                          for modes, c in spread
+                          for a in range(len(S)) if S[a][i_]]
+            for modes, c in spread:
+                mat[idx[FockMonomial(tuple(sorted(modes)), tail)]][j] += c
+        mat = tuple(map(tuple, mat))
         self._mats[degree] = mat
         return mat
 
     def compose(self, other: "VOAAutomorphism") -> "VOAAutomorphism":
         """self after other."""
-        V = self.host
-        n = V.lattice.rank
-        S = mat_mul(self.isometry, other.isometry)
-        signs = []
-        for i in range(n):
-            ei = [int(a == i) for a in range(n)]
-            oi = [other.isometry[a][i] for a in range(n)]
-            signs.append(other.tail_sign(ei) * self.tail_sign(oi))
-        return VOAAutomorphism(V, S, signs)
+        # other takes e^(e_i) to basis_signs[i] e^(S' e_i), S' e_i column i
+        signs = [s * self.tail_sign(col)
+                 for s, col in zip(other.basis_signs, zip(*other.isometry))]
+        return VOAAutomorphism(
+            self.host, mat_mul(self.isometry, other.isometry), signs)
 
     def key(self):
         return (self.isometry, self.basis_signs)

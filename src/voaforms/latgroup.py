@@ -3,8 +3,9 @@
 A SignedAction presents a group E of commuting integral involutions by a
 generating list; characters assign a sign to each generator.  The module
 computes eigenlattices, total eigenlattices with their exponent bound,
-idempotent projections in the group algebra, and intersections of lattice
-images under finite integer matrix groups.
+idempotent projections in the group algebra (as products of the commuting
+factors (1 + s_i g_i)/2), and intersections of lattice images under finite
+integer matrix groups.
 """
 
 from __future__ import annotations
@@ -106,33 +107,6 @@ class SignedAction:
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("SignedAction is immutable")
 
-    def elements(self):
-        """All 2^r subset products, as (subset-mask, matrix) pairs."""
-        n = self.ambient_dim
-        out = []
-        for mask in range(1 << self.rank):
-            m = _mat_identity(n)
-            for i in range(self.rank):
-                if mask >> i & 1:
-                    m = mat_mul(m, self.generators[i])
-            out.append((mask, m))
-        return out
-
-    def to_json(self) -> dict:
-        return {"dim": self.ambient_dim,
-                "generators": [[x for row in g for x in row]
-                               for g in self.generators]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SignedAction":
-        n = as_integer(data["dim"], "dim")
-        gens = []
-        for flat in data["generators"]:
-            if len(flat) != n * n:
-                raise ActionError("generator entry count != dim^2")
-            gens.append([flat[i * n:(i + 1) * n] for i in range(n)])
-        return cls(n, gens)
-
 
 class Character:
     """Sign vector on the chosen generators of E."""
@@ -156,13 +130,6 @@ class Character:
 
     def __repr__(self):
         return f"Character{self.signs}"
-
-    def value_on_mask(self, mask: int) -> int:
-        v = 1
-        for i, s in enumerate(self.signs):
-            if mask >> i & 1 and s == -1:
-                v = -v
-        return v
 
     @staticmethod
     def all_characters(rank: int):
@@ -238,19 +205,19 @@ def tel_exponent_check(lattice: ZLattice, action: SignedAction):
 
 def idempotent_project(vector: Sequence, action: SignedAction,
                        char: Character) -> list:
-    """Projection 2^-r * sum_g char(g) g . vector onto the eigenspace."""
-    n = action.ambient_dim
-    if len(vector) != n:
+    """Projection onto the eigenspace of char: 2^-r sum_g char(g) g . vector.
+
+    The generators g_i commute and square to 1, so that sum factors as the
+    product of the (1 + s_i g_i)/2, applied here one generator at a time.
+    """
+    if len(vector) != action.ambient_dim:
         raise DimensionMismatchError("vector has wrong length")
+    if len(char.signs) != action.rank:
+        raise ValueError("character length != action rank")
     vec = [Fraction(x) for x in vector]
-    acc = [Fraction(0)] * n
-    for mask, m in action.elements():
-        s = char.value_on_mask(mask)
-        img = apply_matrix(m, vec)
-        for j in range(n):
-            acc[j] += s * img[j]
-    scale = Fraction(1, 1 << action.rank)
-    return [scale * x for x in acc]
+    for g, s in zip(action.generators, char.signs):
+        vec = [(x + s * y) / 2 for x, y in zip(vec, apply_matrix(g, vec))]
+    return vec
 
 
 def image_lattice(matrix: Sequence[Sequence], lattice: ZLattice) -> ZLattice:

@@ -126,7 +126,11 @@ class EvenLattice:
     __slots__ = ("rank", "gram", "_sq", "_shorts")
 
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
-        g = tuple(tuple(as_integer(x, "gram") for x in row) for row in gram)
+        try:
+            g = tuple(tuple(as_integer(x, "gram") for x in row)
+                      for row in gram)
+        except TypeError:
+            raise ValueError("gram: not a list of rows") from None
         n = len(g)
         if n == 0:
             raise ValueError("gram: empty matrix; the rank must be at least 1")
@@ -227,6 +231,13 @@ class EvenLattice:
         if rank != lat.rank:
             raise ValueError("field 'rank' disagrees with 'gram'")
         return lat
+
+
+def _parse_int(text: str, piece: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ElementParseError(f"number too long in {piece!r}") from None
 
 
 def _mode_multisets(total: int, rank: int) -> list:
@@ -780,9 +791,9 @@ class TruncatedVOA:
             for piece in pieces[1:]:
                 mh = self._TERM_H.match(piece)
                 if mh:
-                    i_ = int(mh.group(1)) - 1
-                    n_ = -int(mh.group(2))
-                    exp = int(mh.group(3) or 1)
+                    i_ = _parse_int(mh.group(1), piece) - 1
+                    n_ = -_parse_int(mh.group(2), piece)
+                    exp = _parse_int(mh.group(3) or "1", piece)
                     if exp < 1:
                         raise ElementParseError(
                             f"exponent must be at least 1 in {piece!r}")
@@ -802,7 +813,8 @@ class TruncatedVOA:
                 if me:
                     if tail is not None:
                         raise ElementParseError("two tails in one term")
-                    tail = tuple(int(x) for x in me.group(1).split(","))
+                    tail = tuple(_parse_int(x, piece)
+                                 for x in me.group(1).split(","))
                     if len(tail) != self.lattice.rank:
                         raise ElementParseError(
                             f"tail length != rank in {piece!r}")

@@ -308,6 +308,10 @@ GOLDEN_TRACE = json.loads(
 BAD_LITERAL = ["1 * e(0)", "1 * e(("]
 ZERO_DENOMINATOR = ["1 * e(0)", "1/0 * e(1)"]
 NOT_UTF8 = b"\xff\xfe{}"
+# json.loads raises ValueError on the first and RecursionError on the second
+LONG_INTEGER = '{"gram": [[' + "2" * 5000 + ']]}'
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+LONG_NUMBER = "9" * 5000
 
 MALFORMED = {
     "dual-no-lattice": (lambda t: [
@@ -474,6 +478,37 @@ MALFORMED = {
     "verify-gen-degree-above-cutoff": (lambda t: [
         "verify", "--manifest", _manifest(t, gen_degree=9),
         "--suite", "rescale"], "manifest"),
+    **{f"{flag}-{kind}": (lambda t, flag=flag, text=text: {
+        "lattice": ["build", "--max-degree", "2"],
+        "manifest": ["verify"],
+        "action": ["tel", "--manifest", str(GOLDEN / "build.json")],
+        "other": ["nli-transfer", "--manifest", str(GOLDEN / "build.json")],
+    }[flag] + [f"--{flag}", _write(t, "x.json", text)], flag)
+       for flag in ("lattice", "manifest", "action", "other")
+       for kind, text in (("long-integer", LONG_INTEGER),
+                          ("deep-nesting", DEEP_NESTING))},
+    "build-gram-number": (lambda t: [
+        "build", "--lattice", _write(t, "l.json", '{"gram": 5}'),
+        "--max-degree", "2"], "lattice: gram"),
+    **{f"build-generator-long-{part}": (lambda t, literal=literal: [
+        "build", "--lattice", _lattice(t),
+        "--generators", _write(t, "g.txt", literal + "\n"),
+        "--max-degree", "2"], "generators: line 1")
+       for part, literal in (("index", f"1 * h({LONG_NUMBER},-1) * e(0)"),
+                             ("mode", f"1 * h(1,-{LONG_NUMBER}) * e(0)"),
+                             ("power", f"1 * h(1,-1)^{LONG_NUMBER} * e(0)"),
+                             ("tail", f"1 * e({LONG_NUMBER})"))},
+    "build-generator-exponent-notation": (lambda t: [
+        "build", "--lattice", _lattice(t),
+        "--generators", _write(t, "g.txt", "1e3 * e(1)\n"),
+        "--max-degree", "2"], "generators: line 1"),
+    "verify-generator-decimal-point": (lambda t: [
+        "verify", "--manifest", _manifest(t, generators=["0.5 * e(1)"])],
+        "manifest"),
+    "tel-repeated-isometry": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(t, '{"isometries": [[[-1]], [[-1]]]}')],
+        "action: isometry 1"),
     **{f"{command}-iter-bound-0": (lambda t, command=command: [
         command, "--manifest", str(GOLDEN / "build.json"),
         "--iter-bound", "0"]
@@ -490,6 +525,24 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
     assert main(make_argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: "), err
+
+
+@pytest.mark.parametrize("text", [LONG_INTEGER, DEEP_NESTING],
+                         ids=["long-integer", "deep-nesting"])
+def test_unparsable_json_is_named(tmp_path, capsys, text):
+    path = _write(tmp_path, "l.json", text)
+    assert main(["build", "--lattice", path, "--max-degree", "2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: lattice: invalid JSON in {path}: ")
+
+
+def test_repeated_lift_is_named(tmp_path, capsys):
+    # a repeat adds nothing but doubles the characters tel decomposes by
+    action = _action(tmp_path, '{"isometries": [[[-1]], [[1]], [[-1]]]}')
+    assert main(["tel", "--manifest", str(GOLDEN / "build.json"),
+                 "--action", action]) == 1
+    assert capsys.readouterr().err == \
+        "error: action: isometry 2: repeats isometry 0\n"
 
 
 def test_missing_manifest_field_is_named(tmp_path, capsys):

@@ -482,8 +482,7 @@ class TestCoordinates:
         for _ in range(12):
             a, _ = random_lattice(rng, 3, allow_halves=True)
             b, _ = random_lattice(rng, 3, allow_halves=True)
-            out += [a, a.scale(Fraction(2, 3)), lattice_intersect(a, b),
-                    ZLattice.from_json(b.to_json())]
+            out += [a, a.scale(Fraction(2, 3)), lattice_intersect(a, b), b]
         return out
 
     def test_pivots_are_first_nonzero_columns(self):
@@ -727,9 +726,3 @@ class TestQMatrix:
         m = QMatrix.from_rows([[2, 1], [1, 2]])
         inv = m.inverse()
         assert m @ inv == QMatrix.identity(2)
-
-    def test_json_round_trip(self):
-        m = QMatrix.from_rows([[Fraction(1, 2), 3], [-2, Fraction(7, 5)]])
-        assert QMatrix.from_json(m.to_json()) == m
-        enc = m.to_json()
-        assert enc["entries"][0] == "1/2"

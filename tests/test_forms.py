@@ -351,6 +351,15 @@ class TestDualFamily:
         for n in range(0, 3):
             assert fm.dual_stability_check(j4, n)
 
+    def test_orders_above_every_degree_build_nothing(self, j4, monkeypatch):
+        # L(1)^n maps each degree below n to 0: no L(1) rows are needed
+        reads = []
+        monkeypatch.setattr(j4.host, "int_rows", reads.append)
+        assert fm.dual_stability_check(j4, j4.host.cutoff + 1)
+        assert fm.dual_stability_check(j4, 10 ** 4, return_witness=True) \
+            == (True, None)
+        assert reads == []
+
     def test_stability_failure_witnessed(self, j4):
         # tripling one degree shrinks its dual by 3, whose raising images
         # acquire denominators no other degree's dual carries
@@ -515,23 +524,42 @@ class TestAutomorphisms:
         for d in range(5):
             SignedAction(v4.dim(d), [theta.matrix(d), tau.matrix(d)])
 
-    def test_respects_products(self, v4, theta, tau):
-        import random
+    def test_respects_products(self, v4, theta, tau, a2n3_standard):
+        # on rank 2, where S^T != S and the tail signs are not all 1
+        a2 = a2n3_standard[0]
         rng = random.Random(7)
-        for a in (theta, tau, theta.compose(tau)):
-            for _ in range(25):
+        for a in (theta, tau, theta.compose(tau),
+                  VOAAutomorphism(a2, [[-1, -1], [1, 0]]),
+                  VOAAutomorphism(a2, [[0, 1], [1, 0]], [-1, 1])):
+            V = a.host
+            for _ in range(25 if V is v4 else 50):
                 p = rng.randint(0, 2)
                 q = rng.randint(0, 2)
-                mp = v4.graded_basis(p)
-                mq = v4.graded_basis(q)
-                u = v4.monomial_vector(*rng.choice(mp))
-                w = v4.monomial_vector(*rng.choice(mq))
-                kmax = p + q - 1
-                kmin = p + q - 1 - v4.cutoff
-                k = rng.randint(kmin, kmax)
-                lhs = a.apply(v4.vertex_product(u, k, w))
-                rhs = v4.vertex_product(a.apply(u), k, a.apply(w))
+                u = V.monomial_vector(*rng.choice(V.graded_basis(p)))
+                w = V.monomial_vector(*rng.choice(V.graded_basis(q)))
+                k = rng.randint(p + q - 1 - V.cutoff, p + q - 1)
+                lhs = a.apply(V.vertex_product(u, k, w))
+                rhs = V.vertex_product(a.apply(u), k, a.apply(w))
                 assert lhs == rhs
+
+    def test_matrices_pinned(self):
+        """The degree matrices of eight lifts, against a digest taken when
+        each column was the image of one basis monomial under the lift."""
+        a1 = TruncatedVOA(EvenLattice([[2]]), 6)
+        a2 = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 4)
+        a3 = TruncatedVOA(EvenLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+                          3)
+        swap, neg = [[0, 1], [1, 0]], [[-1, 0], [0, -1]]
+        lifts = [(a1, [[-1]], None), (a1, [[1]], [-1]),
+                 (a2, swap, None), (a2, [[-1, -1], [1, 0]], None),
+                 (a2, neg, [1, -1]), (a2, swap, [-1, 1]),
+                 (a3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], None),
+                 (a3, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], [1, -1, 1])]
+        text = "".join(repr(VOAAutomorphism(V, S, signs).matrix(d))
+                       for V, S, signs in lifts
+                       for d in range(V.cutoff + 1))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+            "38ca85d0b5e8c61f"
 
     def test_preserves_standard_form(self, j4, theta, tau):
         assert theta.preserves_form(j4)

@@ -48,25 +48,14 @@ class TestSignedAction:
     def test_identity_generators_allowed(self):
         act = SignedAction(2, [[[1, 0], [0, 1]]])
         assert act.rank == 1
-        assert len(act.elements()) == 2
 
-    def test_json_round_trip(self):
-        act = SignedAction(2, [SWAP])
-        again = SignedAction.from_json(act.to_json())
-        assert again.generators == act.generators
-
-    @pytest.mark.parametrize("data", [
-        {"dim": 1, "generators": [[-1.5]]},
-        {"dim": 1, "generators": [["-1"]]},
-        {"dim": 1, "generators": [[True]]},
-        {"dim": 1.5, "generators": []},
-    ])
-    def test_from_json_rejects_non_integers(self, data):
+    @pytest.mark.parametrize("generator", [[[-1.5]], [["-1"]], [[True]]])
+    def test_rejects_non_integers(self, generator):
         with pytest.raises(ValueError, match="not an integer"):
-            SignedAction.from_json(data)
+            SignedAction(1, [generator])
 
     def test_integral_floats_accepted(self):
-        act = SignedAction.from_json({"dim": 1.0, "generators": [[-1.0]]})
+        act = SignedAction(1, [[[-1.0]]])
         assert act.generators == (((-1,),),)
         assert type(act.generators[0][0][0]) is int
 
@@ -212,6 +201,11 @@ class TestIdempotent:
             [Fraction(1, 2), Fraction(1, 2)]
         assert idempotent_project([1, 0], act, Character((-1,))) == \
             [Fraction(1, 2), Fraction(-1, 2)]
+
+    def test_character_length_checked(self):
+        act = SignedAction(2, [SWAP])
+        with pytest.raises(ValueError, match="character length"):
+            idempotent_project([1, 0], act, Character((1, -1)))
 
     def test_resolution_of_identity_and_idempotency(self):
         rng = random.Random(13)

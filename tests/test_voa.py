@@ -632,7 +632,8 @@ class TestLiterals:
 
     def test_parse_errors(self, a1):
         for bad in ["x * e(0)", "1 * h(2,-1) * e(0)", "1 * h(1,-1)",
-                    "1 * e(0,0)", "1 * h(1,1) * e(0)"]:
+                    "1 * e(0,0)", "1 * h(1,1) * e(0)", "1e3 * e(0)",
+                    "0.5 * e(0)"]:
             with pytest.raises((ElementParseError, CutoffExceededError)):
                 a1.parse_element(bad)
 
