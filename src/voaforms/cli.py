@@ -131,7 +131,10 @@ def cmd_build(args) -> int:
     lattice = _load_lattice(args.lattice)
     if args.max_degree < 0:
         raise InputError("max-degree: must be >= 0")
-    V = TruncatedVOA(lattice, args.max_degree)
+    try:
+        V = TruncatedVOA(lattice, args.max_degree)
+    except ValueError as e:
+        raise InputError(f"max-degree: {e}")
     gens = _load_generators(args.generators, V) if args.generators else []
     if args.gen_degree is not None:
         if not (0 <= args.gen_degree <= args.max_degree):
@@ -463,6 +466,19 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
             raise InputError(
                 f"action: isometry {i}: repeats isometry {auts.index(aut)}")
         auts.append(aut)
+    n = V.lattice.rank
+    one = fm.VOAAutomorphism(V, [[int(i == j) for j in range(n)]
+                                 for i in range(n)])
+    if all(a.compose(a) == one and a.compose(b) == b.compose(a)
+           for a in auts for b in auts):
+        # commuting involutions: a lift inside the group of the earlier
+        # ones would double the characters without growing the group
+        group = {one}
+        for i, aut in enumerate(auts):
+            if aut in group:
+                raise InputError(f"action: isometry {i}: is a product of "
+                                 "earlier isometries")
+            group |= {aut.compose(g) for g in group}
     return auts
 
 

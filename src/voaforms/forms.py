@@ -18,6 +18,7 @@ field.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -178,6 +179,28 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     with the same denominator trace, as multiplying every pair of rows, or
     every vector found so far, which spans the same lattices.
 
+    A pass multiplies its pairs in two phases.  Key each row by (degree,
+    index among its degree's rows).  Phase 1 takes the pairs (u, v) with
+    key(u) >= key(v), among them every pair whose right factor is the
+    degree-0 row vac / m; phase 2 takes the rest, and runs only if phase 1
+    changed a lattice, so every pass that runs it ends as before.  If
+    phase 1 changes nothing, S = S_t is closed under all products, so the
+    pass is the last, as it would be with both phases.  For by the
+    argument above S contains the products of every phase-1 pair of its
+    rows, and skew symmetry Y(u,z)v = e^(zL(-1)) Y(v,-z)u (Frenkel-Huang-
+    Lepowsky 1993) reads
+
+        u_k v = sum_(i>=0) (-1)^(k+i+1) (v_(k+i) u)_(-i-1) vac.
+
+    For a phase-2 pair (u, v), (v, u) is a phase-1 pair with deg v >=
+    deg u > 0, so each w = v_(k+i) u lies in S.  Each w_(-i-1) vac does
+    too: w is an integer combination of rows of its degree, phase 1 pairs
+    each of them with vac / m, and vac = m (vac / m) (when w has degree 0,
+    w_(-i-1) vac is w or 0).  Hence u_k v lies in S.  No vector here
+    exceeds the cutoff: v_(k+i) u has degree deg(u_k v) - i, and its
+    (-i-1)-product with vac raises that by i, so the identity holds in
+    the truncated VOA.
+
     A failure to stabilize raises SaturationError carrying the per-pass
     denominator trace (which is also the denominator-growth report for
     converged runs).  Rows are ints over their lattice's denominator
@@ -232,7 +255,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     prev: dict = {}
     for _ in range(iter_bound):
         start = dict(lattices)
-        rows, fresh, new = {}, {}, {}
+        rows, fresh, new, new_at = {}, {}, {}, {}
         for d, lat in start.items():
             basis = V.graded_basis(d)
             rows[d] = [[(basis[j], x) for j, x in nz] for nz in lat.nonzeros]
@@ -240,16 +263,31 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
             fresh[d] = [old is None
                         or old.int_coordinates(dict(nz), lat.den) is None
                         for nz in lat.nonzeros]
-            new[d] = [u for u, f in zip(rows[d], fresh[d]) if f]
-        for da in sorted(start):
-            if da == 0:
-                continue  # vacuum as left factor only reproduces the input
-            for db in sorted(start):
-                den = start[da].den * start[db].den * V.product_den
-                for u, fu in zip(rows[da], fresh[da]):
-                    for v in rows[db] if fu else new[db]:
-                        for k, acc in _products_all_k(V, u, v).items():
-                            try_add(da + db - k - 1, den, acc)
+            new_at[d] = [j for j, f in enumerate(fresh[d]) if f]
+            new[d] = [rows[d][j] for j in new_at[d]]
+        for phase1 in (True, False):
+            if not phase1 and lattices == start:
+                break  # phase 1 added nothing, so S is closed (see above)
+            for da in sorted(start):
+                if da == 0:
+                    continue  # vacuum as left factor only reproduces the input
+                for db in sorted(start):
+                    if db > da if phase1 else db < da:
+                        continue  # no pair of this phase
+                    den = start[da].den * start[db].den * V.product_den
+                    right, fresh_right = rows[db], new[db]
+                    for i, (u, fu) in enumerate(zip(rows[da], fresh[da])):
+                        if db != da:  # all of L_db is on this phase's side
+                            vs = right if fu else fresh_right
+                        elif phase1:  # the rows up to u itself
+                            vs = right[:i + 1] if fu else \
+                                fresh_right[:bisect_right(new_at[db], i)]
+                        else:
+                            vs = right[i + 1:] if fu else \
+                                fresh_right[bisect_right(new_at[db], i):]
+                        for v in vs:
+                            for k, acc in _products_all_k(V, u, v).items():
+                                try_add(da + db - k - 1, den, acc)
         trace.append({d: lattices[d].den for d in sorted(lattices)})
         if lattices == start:
             return TruncatedForm(V, lattices, [V.vacuum()] + gens,

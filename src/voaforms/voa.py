@@ -44,6 +44,7 @@ form pairing read instead of re-deriving those facts.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
@@ -312,6 +313,8 @@ class TruncatedVOA:
     def __init__(self, lattice: EvenLattice, cutoff: int) -> None:
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
+        if cutoff > sys.maxsize:  # beyond the domain of math.factorial
+            raise ValueError(f"cutoff must be at most {sys.maxsize}")
         self.lattice = lattice
         self.cutoff = cutoff
         # pair_products numerators are over product_den = (N!)^2

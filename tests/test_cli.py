@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,8 @@ NOT_UTF8 = b"\xff\xfe{}"
 LONG_INTEGER = '{"gram": [[' + "2" * 5000 + ']]}'
 DEEP_NESTING = "[" * 100_000 + "]" * 100_000
 LONG_NUMBER = "9" * 5000
+# above sys.maxsize, the largest argument math.factorial takes
+HUGE_CUTOFF = "99999999999999999999"
 
 MALFORMED = {
     "dual-no-lattice": (lambda t: [
@@ -543,6 +546,38 @@ def test_repeated_lift_is_named(tmp_path, capsys):
                  "--action", action]) == 1
     assert capsys.readouterr().err == \
         "error: action: isometry 2: repeats isometry 0\n"
+
+
+def test_dependent_lift_is_named(tmp_path, capsys):
+    """The eight sign lifts of +-I on A1 x A1 make a group of order 8, which
+    the first three generate; with all eight, tel would build 2^8
+    characters."""
+    man = _built(tmp_path, "a1a1", '{"rank": 2, "gram": [[2, 0], [0, 2]]}',
+                 "1 * e(1,0)\n1 * e(-1,0)\n1 * e(0,1)\n1 * e(0,-1)\n", 2)
+    signs = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+    lifts = {"isometries": [[[-1, 0], [0, -1]]] * 4 + [[[1, 0], [0, 1]]] * 4,
+             "tail_signs": signs * 2}
+    assert main(["tel", "--manifest", man, "--action",
+                 _action(tmp_path, json.dumps(lifts))]) == 1
+    assert capsys.readouterr().err == \
+        "error: action: isometry 3: is a product of earlier isometries\n"
+    lifts = {key: value[:3] for key, value in lifts.items()}
+    assert main(["tel", "--manifest", man, "--action",
+                 _action(tmp_path, json.dumps(lifts))]) == 0
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "dual", "rescale"])
+def test_huge_cutoff_is_named(tmp_path, capsys, command):
+    # factorial(cutoff) raised OverflowError from TruncatedVOA
+    if command == "build":
+        argv = ["--lattice", _lattice(tmp_path), "--max-degree", HUGE_CUTOFF]
+        field = "max-degree"
+    else:
+        argv = ["--manifest", _manifest(tmp_path, cutoff=int(HUGE_CUTOFF))]
+        field = "manifest"
+    assert main([command] + argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: {field}: cutoff must be at most {sys.maxsize}\n"
 
 
 def test_missing_manifest_field_is_named(tmp_path, capsys):

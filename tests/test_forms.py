@@ -203,6 +203,9 @@ def _full_rank_lattices(seed, count):
     return out
 
 
+STANDARD_A2 = ["1 * e(1,0)", "1 * e(-1,0)", "1 * e(0,1)", "1 * e(0,-1)"]
+
+
 class TestExponentFastPath:
     """generate_form accepts w / den into a full-rank lattice M / den_L
     without reducing it when den * e divides den_L * gcd(w), for
@@ -243,11 +246,17 @@ class TestExponentFastPath:
         # divergent: the SaturationError trace
         ([[2]], 4, ["1/2 * e(1)", "1/2 * e(-1)"], 4, "f9b519b2e0b1eff8"),
         ([[2]], 5, ["1 * e(1) + 1 * e(-1)"], 50, "1dad18e9d72b4f19"),
+        # saturations that end on a pass phase 1 settles (TestPhaseOneStop)
+        ([[2]], 5, ["1 * e(1)", "1 * e(-1)"], 50, "2afc3092a5fbc10b"),
+        ([[2, 1], [1, 2]], 3, STANDARD_A2, 50, "77f27f08e9475bfb"),
+        ([[2]], 3, ["1 * e(1)"], 50, "b297addee12bd594"),
     ])
     def test_saturations_unchanged(self, gram, cutoff, generators,
                                    iter_bound, digest):
-        """Digests of the lattices and trace that reducing every product
-        gives; the fast path fires on these while lattices still grow."""
+        """Digests of the lattices and trace that multiplying every row pair
+        and reducing every product gives, taken before the code that
+        skips that work; the fast path fires on the first three while
+        lattices still grow."""
         V = TruncatedVOA(EvenLattice(gram), cutoff)
         gens = [V.parse_element(s) for s in generators]
         try:
@@ -271,6 +280,43 @@ class TestExponentFastPath:
         monkeypatch.setattr(ZLattice, "int_coordinates", counting)
         fm.standard_form(TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3))
         assert calls[0] <= 4000, calls[0]
+
+
+class TestPhaseOneStop:
+    """A pass ends after phase 1 when phase 1 adds nothing: skew symmetry
+    then puts every product of the pairs phase 2 would take in the
+    lattices.  Each input here ends on such a pass, and the last one needs
+    the right-vacuum pairs of phase 1 to reach L(-1) e(1)."""
+
+    @pytest.mark.parametrize("gram, cutoff, generators", [
+        ([[2]], 5, ["1 * e(1)", "1 * e(-1)"]),
+        ([[2, 1], [1, 2]], 3, STANDARD_A2),
+        ([[2]], 5, ["1 * e(1) + 1 * e(-1)"]),
+        ([[2]], 3, ["1 * e(1)"]),
+    ])
+    def test_closed_under_every_product(self, gram, cutoff, generators):
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        J = fm.generate_form(V, [V.parse_element(s) for s in generators])
+        rows = [(d, V.vector_from_coords(d, row)) for d in J.degrees()
+                for row in J.lattice(d).basis_rows()]
+        missing = [(du, dv, k) for du, u in rows for dv, v in rows
+                   for k in range(du + dv - 1 - cutoff, du + dv)
+                   if not J.contains(V.vertex_product(u, k, v))]
+        assert missing == []
+
+    def test_product_work_bound(self, monkeypatch):
+        """standard_form on A2 at cutoff 3 multiplies 5,600 row pairs when
+        its last pass takes both phases and 3,440 when phase 1 ends it."""
+        calls = [0]
+        products_all_k = fm._products_all_k
+
+        def counting(*args):
+            calls[0] += 1
+            return products_all_k(*args)
+
+        monkeypatch.setattr(fm, "_products_all_k", counting)
+        fm.standard_form(TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3))
+        assert calls[0] <= 3440, calls[0]
 
 
 class TestIntegralityCertificates:
