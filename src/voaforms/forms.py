@@ -18,7 +18,6 @@ field.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -153,20 +152,28 @@ def _exponent(lat: ZLattice) -> int:
     return smith_invariants(lat.rows)[-1]
 
 
+def negation_map(V: TruncatedVOA, degree: int) -> list:
+    """theta = negation_lift(V) on graded_basis(degree) as (index, sign)
+    per column: gamma_i(-n) goes to -gamma_i(-n) and e^alpha to e^-alpha,
+    its tail sign being +1 as eps(-alpha, -beta) = eps(alpha, beta)."""
+    index = V.basis_index(degree)
+    return [(index[FockMonomial(m.modes, tuple(-a for a in m.tail))],
+             -1 if len(m.modes) % 2 else 1)
+            for m in V.graded_basis(degree)]
+
+
 def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                   gen_degree: int | None = None,
                   iter_bound: int = 50) -> TruncatedForm:
     """Close the generators (plus the vacuum) under all truncated products.
 
     Maintains one canonical lattice per degree.  Each pass takes the basis
-    rows of the lattices as they stand at its start and, for every ordered
-    degree pair (da, db) with da != 0, adds each product u_k v of a row u
-    of L_da and a row v of L_db landing below the cutoff to the live
-    lattice of its degree, but only for pairs (u, v) where u or v is
-    fresh.  A row is fresh if it does not lie in its degree's lattice at
-    the start of the previous pass; every row is fresh in the first pass
-    and in a degree that had no lattice then.  Stops when a pass changes
-    no lattice.
+    rows of the lattices as they stand at its start and adds products u_k v
+    of rows u, v (deg u > 0) landing below the cutoff to the live lattice
+    of their degree, but only for pairs (u, v) where u or v is fresh.  A
+    row is fresh if it does not lie in its degree's lattice at the start of
+    the previous pass; every row is fresh in the first pass and in a degree
+    that had no lattice then.  Stops when a pass changes no lattice.
 
     This is semi-naive evaluation, and each pass still ends on the
     lattices that multiplying every pair of rows gives.  Write S_t for the
@@ -179,27 +186,61 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     with the same denominator trace, as multiplying every pair of rows, or
     every vector found so far, which spans the same lattices.
 
-    A pass multiplies its pairs in two phases.  Key each row by (degree,
-    index among its degree's rows).  Phase 1 takes the pairs (u, v) with
-    key(u) >= key(v), among them every pair whose right factor is the
-    degree-0 row vac / m; phase 2 takes the rest, and runs only if phase 1
-    changed a lattice, so every pass that runs it ends as before.  If
-    phase 1 changes nothing, S = S_t is closed under all products, so the
-    pass is the last, as it would be with both phases.  For by the
-    argument above S contains the products of every phase-1 pair of its
-    rows, and skew symmetry Y(u,z)v = e^(zL(-1)) Y(v,-z)u (Frenkel-Huang-
-    Lepowsky 1993) reads
+    Rows fall into blocks.  When every generator has one tail, every
+    product of rows is charge-pure (a product of charges gamma and delta
+    has charge gamma + delta), so each lattice is the direct sum of its
+    parts of one charge, and its canonical rows are the union of theirs.
+    A block B then holds the rows of one degree d and charge gamma, keyed
+    (d, r, gamma == r) with r = max(gamma, -gamma); otherwise each degree
+    is one block, of charge 0.  A product of charge gamma + delta has
+    degree at least |gamma + delta|^2 / 2, so a pair of blocks for which
+    that is above the cutoff has no product below it and is skipped.
+
+    Negation orbits.  theta = negation_lift(V) maps each basis monomial to
+    +-1 times a basis monomial, swaps the blocks (d, gamma) and
+    (d, -gamma), and satisfies theta(x_k y) = (theta x)_k (theta y).  It
+    is used when every generator has one tail and theta(g) lies in S_0 for
+    every generator g; otherwise theta is the identity below.  Whenever w
+    changes a lattice, theta w is added too, so every live lattice is
+    theta-stable (S_0 is: theta vac = vac).  An ordered block pair
+    (B, C) is canonical when (key B, key C) >= (key theta B, key theta C);
+    each theta-orbit of block pairs has one canonical pair, and only
+    canonical pairs are multiplied.  That loses nothing: S_t is
+    theta-stable and charge-pure, so its rows of theta B span theta of
+    the span of its rows of B, and the products of the pair (theta B,
+    theta C) span theta of those of (B, C), which the pass adds with
+    their theta-images.  So each pass ends on the same lattices as if it
+    multiplied every block pair, and S_(t+1) contains every product of two
+    rows of S_t as above.
+
+    A pass multiplies its canonical pairs in two phases.  Phase 1 takes
+    the pairs of blocks with key B > key C and, inside one block, the row
+    pairs (u, v) with u at or after v; phase 2 takes the rest, and runs
+    only if phase 1 changed a lattice, so every pass that runs it ends as
+    before.  If phase 1 changes nothing, S = S_t is closed under all
+    products, so the pass is the last, as it would be with both phases.
+    By the argument above S contains the products of every phase-1 pair
+    of its rows.  (1) Let key B > key C.  If {B, C} is not {D, theta D},
+    the key order agrees with theta on it, so (B, C) or (theta B, theta
+    C) is canonical and in phase 1; if C = theta B, (B, C) is canonical.
+    By theta-stability, S_B x S_C lies in S either way, S_B the part of S
+    of block B; that includes C = the degree-0 block of vac / m, whose
+    key is the least.  (2) For a block B whose diagonal pair is
+    canonical, and a pair (u, v) of its rows with u before v, skew
+    symmetry Y(u,z)v = e^(zL(-1)) Y(v,-z)u (Frenkel-Huang-Lepowsky 1993)
+    reads
 
         u_k v = sum_(i>=0) (-1)^(k+i+1) (v_(k+i) u)_(-i-1) vac.
 
-    For a phase-2 pair (u, v), (v, u) is a phase-1 pair with deg v >=
-    deg u > 0, so each w = v_(k+i) u lies in S.  Each w_(-i-1) vac does
-    too: w is an integer combination of rows of its degree, phase 1 pairs
-    each of them with vac / m, and vac = m (vac / m) (when w has degree 0,
-    w_(-i-1) vac is w or 0).  Hence u_k v lies in S.  No vector here
-    exceeds the cutoff: v_(k+i) u has degree deg(u_k v) - i, and its
-    (-i-1)-product with vac raises that by i, so the identity holds in
-    the truncated VOA.
+    Each w = v_(k+i) u is a phase-1 product, so it lies in S.  Each
+    w_(-i-1) vac does too: w is an integer combination of rows, (1) puts
+    each row of positive degree times vac / m in S, and vac = m (vac / m)
+    (when w has degree 0, w_(-i-1) vac is w or 0).  So S_B x S_B lies in
+    S, and by theta so does S_(theta B) x S_(theta B).  (3) For key B <
+    key C, the same identity reduces S_B x S_C to S_C x S_B, which lies in
+    S by (1).  No vector here exceeds the cutoff: v_(k+i) u has degree
+    deg(u_k v) - i, and its (-i-1)-product with vac raises that by i, so
+    the identity holds in the truncated VOA.
 
     A failure to stabilize raises SaturationError carrying the per-pass
     denominator trace (which is also the denominator-growth report for
@@ -230,64 +271,105 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
 
     lattices: dict = {}
     exponents: dict = {}  # degree -> (den_L, e) of a full-rank lattice
+    signed: dict = {}     # degree -> negation_map
 
-    def try_add(d: int, den: int, w: dict) -> None:
-        """Add w / den, for w a {index: int} map over the degree-d basis."""
+    def negated(d: int, w: dict) -> dict:
+        tm = signed.get(d)
+        if tm is None:
+            tm = signed[d] = negation_map(V, d)
+        return {tm[i][0]: tm[i][1] * x for i, x in w.items()}
+
+    def try_add(d: int, den: int, w: dict) -> bool:
+        """Add w / den, for w a {index: int} map over the degree-d basis;
+        True if that changed the lattice."""
         known = exponents.get(d)
         if known and known[0] * gcd(*w.values()) % (den * known[1]) == 0:
-            return
+            return False
         lat = lattices.get(d)
         if lat is None:
             lat = ZLattice.zero(V.dim(d))
-        if lat.int_coordinates(w, den) is None:
-            row = [w.get(i, 0) for i in range(lat.ambient_dim)]
-            lat = lattices[d] = lattice_sum(
-                lat, ZLattice._from_ints(lat.ambient_dim, den, [row]))
-            if lat.rank == lat.ambient_dim:
-                exponents[d] = (lat.den, _exponent(lat))
+        if lat.int_coordinates(w, den) is not None:
+            return False
+        row = [w.get(i, 0) for i in range(lat.ambient_dim)]
+        lat = lattices[d] = lattice_sum(
+            lat, ZLattice._from_ints(lat.ambient_dim, den, [row]))
+        if lat.rank == lat.ambient_dim:
+            exponents[d] = (lat.den, _exponent(lat))
+        return True
 
+    seeds = []
     for vec in [V.vacuum()] + gens:
         den, rows = V.int_rows(vec)
         [(d, row)] = rows.items()
-        try_add(d, den, {V.basis_index(d)[m]: x for m, x in row})
+        seeds.append((d, den, {V.basis_index(d)[m]: x for m, x in row}))
+        try_add(*seeds[-1])
+    pure = all(len({m.tail for m in g.terms}) == 1 for g in gens)
+    theta = pure and all(
+        lattices[d].int_coordinates(negated(d, w), den) is not None
+        for d, den, w in seeds)
 
+    def key(d: int, tail: tuple) -> tuple:
+        r = max(tail, tuple(-a for a in tail))
+        return d, r, tail == r
+
+    zero = (0,) * V.lattice.rank
     trace = []
     prev: dict = {}
     for _ in range(iter_bound):
         start = dict(lattices)
-        rows, fresh, new, new_at = {}, {}, {}, {}
+        blocks: dict = {}  # key -> (degree, tail, rows, fresh flags)
         for d, lat in start.items():
             basis = V.graded_basis(d)
-            rows[d] = [[(basis[j], x) for j, x in nz] for nz in lat.nonzeros]
             old = prev.get(d)
-            fresh[d] = [old is None
-                        or old.int_coordinates(dict(nz), lat.den) is None
-                        for nz in lat.nonzeros]
-            new_at[d] = [j for j, f in enumerate(fresh[d]) if f]
-            new[d] = [rows[d][j] for j in new_at[d]]
-        for phase1 in (True, False):
+            for nz in lat.nonzeros:
+                row = [(basis[j], x) for j, x in nz]
+                tail = row[0][0].tail if pure else zero
+                b = blocks.setdefault(key(d, tail), (d, tail, [], []))
+                b[2].append(row)
+                b[3].append(old is None
+                            or old.int_coordinates(dict(nz), lat.den) is None)
+        order = sorted(blocks.items())
+        mirror = {kb: key(d, tuple(-a for a in t)) if theta else kb
+                  for kb, (d, t, _, _) in order}
+        new = {kb: [v for v, f in zip(vs, fs) if f]
+               for kb, (_, _, vs, fs) in order}
+        phases = ([], [])  # canonical block pairs of phases 1 and 2
+        for ku, (du, tu, _, _) in order:
+            if du == 0:
+                continue  # vacuum as left factor only reproduces the input
+            for kv, (dv, tv, _, _) in order:
+                if (ku, kv) < (mirror[ku], mirror[kv]):
+                    continue  # the theta-image of a canonical pair
+                charge = [a + b for a, b in zip(tu, tv)]
+                if V.lattice.norm(charge) > 2 * V.cutoff:
+                    continue  # no product of the pair within the cutoff
+                if ku >= kv:
+                    phases[0].append((ku, kv))
+                if ku <= kv:  # a diagonal pair is split between the phases
+                    phases[1].append((ku, kv))
+        for phase1, pairs in zip((True, False), phases):
             if not phase1 and lattices == start:
                 break  # phase 1 added nothing, so S is closed (see above)
-            for da in sorted(start):
-                if da == 0:
-                    continue  # vacuum as left factor only reproduces the input
-                for db in sorted(start):
-                    if db > da if phase1 else db < da:
-                        continue  # no pair of this phase
-                    den = start[da].den * start[db].den * V.product_den
-                    right, fresh_right = rows[db], new[db]
-                    for i, (u, fu) in enumerate(zip(rows[da], fresh[da])):
-                        if db != da:  # all of L_db is on this phase's side
-                            vs = right if fu else fresh_right
-                        elif phase1:  # the rows up to u itself
-                            vs = right[:i + 1] if fu else \
-                                fresh_right[:bisect_right(new_at[db], i)]
+            for ku, kv in pairs:
+                du, _, urows, ufresh = blocks[ku]
+                dv, _, vrows, _ = blocks[kv]
+                vnew = new[kv]
+                den = start[du].den * start[dv].den * V.product_den
+                seen = 0  # fresh rows of a diagonal block up to u
+                for i, (u, fu) in enumerate(zip(urows, ufresh)):
+                    if ku != kv:  # all of C is on this phase's side
+                        vs = vrows if fu else vnew
+                    else:
+                        seen += fu
+                        if phase1:  # the rows up to u itself
+                            vs = vrows[:i + 1] if fu else vnew[:seen]
                         else:
-                            vs = right[i + 1:] if fu else \
-                                fresh_right[bisect_right(new_at[db], i):]
-                        for v in vs:
-                            for k, acc in _products_all_k(V, u, v).items():
-                                try_add(da + db - k - 1, den, acc)
+                            vs = vrows[i + 1:] if fu else vnew[seen:]
+                    for v in vs:
+                        for k, acc in _products_all_k(V, u, v).items():
+                            d = du + dv - k - 1
+                            if try_add(d, den, acc) and theta:
+                                try_add(d, den, negated(d, acc))
         trace.append({d: lattices[d].den for d in sorted(lattices)})
         if lattices == start:
             return TruncatedForm(V, lattices, [V.vacuum()] + gens,

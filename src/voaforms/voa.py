@@ -325,10 +325,8 @@ class TruncatedVOA:
         self._prod = {}
         self._lifts = {}
         # iterate-formula lifts (mode order, k shift, factor) per mode order
-        # n; a mode above the cutoff has none
-        self._iterate_lifts = {n: [(n + j, -j, comb(n + j - 1, j))
-                                   for j in range(cutoff - n + 1)]
-                               for n in range(1, cutoff + 1)}
+        # n, built on first use
+        self._iterate_lifts = {}
         self._formmat = {}
         self._omega = None
         self._l1_chain = {}
@@ -544,7 +542,11 @@ class TruncatedVOA:
             else:                           # iterate formula
                 n, i, u, du = ra[1]
                 w, d = mb, du + rb[0]
-                lifts = self._iterate_lifts.get(n, ())
+                lifts = self._iterate_lifts.get(n)
+                if lifts is None:
+                    lifts = self._iterate_lifts[n] = [
+                        (n + j, -j, comb(n + j - 1, j))
+                        for j in range(cutoff - n + 1)]
                 z = rb[3][i] * (1 if n % 2 else -1)
             for k, bucket in self.pair_products(u, w).items():
                 t = d - k - 1

@@ -250,6 +250,9 @@ class TestExponentFastPath:
         ([[2]], 5, ["1 * e(1)", "1 * e(-1)"], 50, "2afc3092a5fbc10b"),
         ([[2, 1], [1, 2]], 3, STANDARD_A2, 50, "77f27f08e9475bfb"),
         ([[2]], 3, ["1 * e(1)"], 50, "b297addee12bd594"),
+        # charge-pure but not negation-stable, so theta is not used
+        ([[2]], 4, ["1 * e(1)", "1 * h(1,-1) * e(-1)"], 50,
+         "2515f86e872eb4e6"),
     ])
     def test_saturations_unchanged(self, gram, cutoff, generators,
                                    iter_bound, digest):
@@ -306,7 +309,9 @@ class TestPhaseOneStop:
 
     def test_product_work_bound(self, monkeypatch):
         """standard_form on A2 at cutoff 3 multiplies 5,600 row pairs when
-        its last pass takes both phases and 3,440 when phase 1 ends it."""
+        its last pass takes both phases, 3,440 when phase 1 ends it, and
+        1,615 when it also takes one block pair per negation orbit and
+        skips the pairs whose charge lies above the cutoff."""
         calls = [0]
         products_all_k = fm._products_all_k
 
@@ -316,7 +321,43 @@ class TestPhaseOneStop:
 
         monkeypatch.setattr(fm, "_products_all_k", counting)
         fm.standard_form(TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3))
-        assert calls[0] <= 3440, calls[0]
+        assert calls[0] <= 2000, calls[0]
+
+
+class TestNegationOrbits:
+    """Saturation multiplies one block pair per orbit of theta =
+    negation_lift and adds theta w for each new w, when every generator
+    has one tail and theta maps each generator into S_0."""
+
+    @pytest.mark.parametrize("gram, cutoff", [
+        ([[2]], 5),
+        ([[2, 1], [1, 2]], 4),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3),
+    ])
+    def test_signed_map_is_the_lift(self, gram, cutoff):
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        theta = fm.negation_lift(V)
+        for d in range(cutoff + 1):
+            mat = [[0] * V.dim(d) for _ in range(V.dim(d))]
+            for j, (i, s) in enumerate(fm.negation_map(V, d)):
+                mat[i][j] = s
+            assert tuple(map(tuple, mat)) == theta.matrix(d), d
+
+    @pytest.mark.parametrize("gram, cutoff, generators", [
+        ([[2, 1], [1, 2]], 3, STANDARD_A2),
+        ([[2]], 4, ["1 * e(1)", "1 * h(1,-1) * e(-1)"]),
+        ([[2]], 5, ["1 * e(1) + 1 * e(-1)"]),
+    ])
+    def test_rows_are_charge_pure(self, gram, cutoff, generators):
+        """The blocks need every stored row to have one tail when every
+        generator does; a generator of two tails gives rows of several."""
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        gens = [V.parse_element(s) for s in generators]
+        J = fm.generate_form(V, gens)
+        tails = [len({V.graded_basis(d)[j].tail for j, _ in nz})
+                 for d in J.degrees() for nz in J.lattice(d).nonzeros]
+        one_tail = all(len({m.tail for m in g.terms}) == 1 for g in gens)
+        assert (max(tails) == 1) == one_tail
 
 
 class TestIntegralityCertificates:

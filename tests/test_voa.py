@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction as F
 from math import factorial
 
@@ -90,6 +91,13 @@ class TestGradedBasis:
     def test_cutoff_enforced(self, a1):
         with pytest.raises(CutoffExceededError):
             a1.graded_basis(7)
+
+    def test_large_cutoff_constructs_quickly(self):
+        # nothing of size (N+1)N/2 is built before a product asks for it
+        start = time.perf_counter()
+        V = TruncatedVOA(EvenLattice([[2]]), 3000)
+        assert time.perf_counter() - start < 1.0
+        assert V.dim(1) == 3
 
 
 class TestVertexProduct:
