@@ -7,14 +7,15 @@ integers.  The canonical lattice representation is a row-style Hermite normal
 form over a cleared common denominator, so lattice equality is a plain
 comparison of the stored data.
 
-Values are immutable after construction; every operation is a pure function
-of its inputs and may be evaluated concurrently without coordination.
+Values are immutable, a SparseHNF apart; every other operation is a pure
+function of its inputs and may be evaluated concurrently without coordination.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -508,6 +509,118 @@ class ZLattice:
     def __repr__(self) -> str:
         return (f"ZLattice(dim={self.ambient_dim}, rank={self.rank}, "
                 f"den={self.den})")
+
+
+class SparseHNF:
+    """A lattice rows / den in canonical form, grown in place one vector at
+    a time (Cohen 1993, section 2.4).
+
+    It holds the data of the equal ``ZLattice`` sparsely: row t has the
+    (column, value) pairs ``nonzeros[t]`` in column order, ``row_of`` maps
+    each pivot to its row, and ``above`` maps a column to the rows with a
+    nonzero there right of their pivot.  The lattice only grows, so a pivot
+    once made stays, and so does its row number.
+    """
+
+    def __init__(self, ambient_dim: int) -> None:
+        self.ambient_dim, self.den, self._lattice = ambient_dim, 1, None
+        self.row_of, self.nonzeros, self.above = {}, [], {}
+
+    def lattice(self) -> ZLattice:
+        """The lattice as a ZLattice, built once per change."""
+        if self._lattice is None:
+            n = self.ambient_dim
+            self._lattice = ZLattice(n, self.den, tuple(  # rows by pivot
+                tuple(map(dict(nz).get, range(n), [0] * n))
+                for nz in sorted(self.nonzeros)))
+        return self._lattice
+
+    def contains(self, w: dict, den: int) -> bool:
+        """Whether w / den is a member, by ZLattice.int_coordinates, which
+        reads only the den, row_of and nonzeros that both classes hold."""
+        return ZLattice.int_coordinates(self, w, den) is not None
+
+    def add(self, w: dict, den: int) -> bool:
+        """Add ``w / den`` to the lattice; True if that changed it.
+
+        With g = gcd(den, *w), the new denominator is D = lcm(self.den,
+        den / g), and the rows are rescaled to it by f = D / self.den.  The
+        vector, over D, is reduced at its least live column j: without a
+        row there it becomes a new pivot row; a row whose pivot p divides
+        its entry x is subtracted; otherwise the row and the vector are
+        replaced by the _xgcd combination, with pivot gcd(p, x), and the
+        remainder, which goes on reducing.  A changed row or pivot can
+        leave entries at a pivot column c out of [0, p_c).  Such columns
+        are reduced in increasing order, and reducing a row at c changes it
+        only right of c.  The rows and D have no common factor: the rows
+        span f times the old rows and the vector, and gcd(D, f * old rows)
+        = f and gcd(D, vector) = D / (den / g) are coprime.
+        """
+        if self.contains(w, den):
+            return False
+        g = gcd(den, *w.values())
+        wden = den // g
+        den = lcm(self.den, wden)
+        f, c = den // self.den, den // wden
+        if f > 1:
+            self.nonzeros = [tuple((j, f * x) for j, x in nz)
+                             for nz in self.nonzeros]
+            self.den = den
+        v = {j: x // g * c for j, x in w.items() if x}
+        dirty: list = []  # a heap of the columns of changed rows
+        while v:
+            j = min(v)
+            x = v.pop(j)
+            if not x:
+                continue
+            t = self.row_of.get(j)
+            if t is None:
+                v[j] = x
+                t = self.row_of[j] = len(self.nonzeros)
+                self.nonzeros.append(())
+                self._put(t, v if x > 0 else {i: -y for i, y in v.items()},
+                          dirty)
+                break
+            row = dict(self.nonzeros[t])
+            p = row.pop(j)
+            q, r = divmod(x, p)
+            if r:
+                a, b, h = _xgcd(p, x)
+                cols = row.keys() | v.keys()
+                new = {i: a * row.get(i, 0) + b * v.get(i, 0) for i in cols}
+                new[j] = h
+                v = {i: p // h * v.get(i, 0) - x // h * row.get(i, 0)
+                     for i in cols}
+                self._put(t, new, dirty)
+            else:
+                for i, y in row.items():
+                    v[i] = v.get(i, 0) - q * y
+        while dirty:  # a column seen twice has nothing left to reduce
+            j = heappop(dirty)
+            t = self.row_of.get(j)
+            if t is None:
+                continue
+            nz = self.nonzeros[t]
+            for s in tuple(self.above.get(j, ())):
+                row = dict(self.nonzeros[s])
+                q = row[j] // nz[0][1]
+                if q:
+                    for i, y in nz:
+                        row[i] = row.get(i, 0) - q * y
+                    self._put(s, row, dirty)
+        self._lattice = None
+        return True
+
+    def _put(self, t: int, row: dict, dirty: list) -> None:
+        """Make the {column: value} map ``row`` row t; mark its columns."""
+        for j, _ in self.nonzeros[t][1:]:
+            self.above[j].discard(t)
+        self.nonzeros[t] = nz = tuple(sorted(
+            (j, x) for j, x in row.items() if x))
+        for j, _ in nz:
+            heappush(dirty, j)
+        for j, _ in nz[1:]:
+            self.above.setdefault(j, set()).add(t)
 
 
 def hnf(matrix: QMatrix) -> QMatrix:

@@ -26,6 +26,7 @@ from voaforms.dihedral import FiniteAlgebra, trace_form
 from voaforms.exact import (
     DegenerateFormError,
     QMatrix,
+    SparseHNF,
     ZLattice,
     as_integer,
     format_rational,
@@ -168,7 +169,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     """Close the generators (plus the vacuum) under all truncated products.
 
     Maintains one canonical lattice per degree.  Each pass takes the basis
-    rows of the lattices as they stand at its start and adds products u_k v
+    rows of a snapshot of the lattices at its start and adds products u_k v
     of rows u, v (deg u > 0) landing below the cutoff to the live lattice
     of their degree, but only for pairs (u, v) where u or v is fresh.  A
     row is fresh if it does not lie in its degree's lattice at the start of
@@ -245,13 +246,18 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     A failure to stabilize raises SaturationError carrying the per-pass
     denominator trace (which is also the denominator-growth report for
     converged runs).  Rows are ints over their lattice's denominator
-    throughout.
+    throughout.  A live lattice is an exact.SparseHNF, which each vector
+    not yet in it changes in place.  As Hermite normal forms are unique,
+    its rows and denominator are those ZLattice gives for the span of the
+    vectors added, so each pass's snapshot (ZLattices) and the trace are
+    canonical.
 
     Most products are accepted without reducing them.  A full-rank lattice
     L = M / den_L, with M in Z^n, contains e * Z^n / den_L, where e is the
     exponent of Z^n / M (its largest Smith invariant), so w / den lies in L
     whenever den * e divides den_L * gcd(w).  A pair (den_L, e) is kept per
-    degree and recomputed when its full-rank lattice changes.  Lattices only
+    degree, computed when its lattice first has full rank and again from
+    each new full-rank snapshot, not on every change.  Lattices only
     grow, so a pair from an earlier lattice of the degree stays sound; the
     test never decides membership differently, and every lattice and trace
     is what reducing each product gives.
@@ -269,7 +275,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         raise PreconditionError(
             f"gen_degree {gen_degree} exceeds cutoff {V.cutoff}")
 
-    lattices: dict = {}
+    live: dict = {}       # degree -> SparseHNF
     exponents: dict = {}  # degree -> (den_L, e) of a full-rank lattice
     signed: dict = {}     # degree -> negation_map
 
@@ -285,16 +291,12 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         known = exponents.get(d)
         if known and known[0] * gcd(*w.values()) % (den * known[1]) == 0:
             return False
-        lat = lattices.get(d)
-        if lat is None:
-            lat = ZLattice.zero(V.dim(d))
-        if lat.int_coordinates(w, den) is not None:
+        lat = live.get(d) or SparseHNF(V.dim(d))
+        if not lat.add(w, den):
             return False
-        row = [w.get(i, 0) for i in range(lat.ambient_dim)]
-        lat = lattices[d] = lattice_sum(
-            lat, ZLattice._from_ints(lat.ambient_dim, den, [row]))
-        if lat.rank == lat.ambient_dim:
-            exponents[d] = (lat.den, _exponent(lat))
+        live[d] = lat  # a degree gets a lattice on its first nonzero vector
+        if d not in exponents and len(lat.nonzeros) == lat.ambient_dim:
+            exponents[d] = (lat.den, _exponent(lat.lattice()))
         return True
 
     seeds = []
@@ -304,9 +306,8 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         seeds.append((d, den, {V.basis_index(d)[m]: x for m, x in row}))
         try_add(*seeds[-1])
     pure = all(len({m.tail for m in g.terms}) == 1 for g in gens)
-    theta = pure and all(
-        lattices[d].int_coordinates(negated(d, w), den) is not None
-        for d, den, w in seeds)
+    theta = pure and all(live[d].contains(negated(d, w), den)
+                         for d, den, w in seeds)
 
     def key(d: int, tail: tuple) -> tuple:
         r = max(tail, tuple(-a for a in tail))
@@ -316,7 +317,10 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     trace = []
     prev: dict = {}
     for _ in range(iter_bound):
-        start = dict(lattices)
+        start = {d: lat.lattice() for d, lat in live.items()}
+        for d, lat in start.items():
+            if lat.rank == lat.ambient_dim and lat is not prev.get(d):
+                exponents[d] = (lat.den, _exponent(lat))
         blocks: dict = {}  # key -> (degree, tail, rows, fresh flags)
         for d, lat in start.items():
             basis = V.graded_basis(d)
@@ -334,6 +338,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         new = {kb: [v for v, f in zip(vs, fs) if f]
                for kb, (_, _, vs, fs) in order}
         phases = ([], [])  # canonical block pairs of phases 1 and 2
+        changed = False
         for ku, (du, tu, _, _) in order:
             if du == 0:
                 continue  # vacuum as left factor only reproduces the input
@@ -348,7 +353,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                 if ku <= kv:  # a diagonal pair is split between the phases
                     phases[1].append((ku, kv))
         for phase1, pairs in zip((True, False), phases):
-            if not phase1 and lattices == start:
+            if not phase1 and not changed:
                 break  # phase 1 added nothing, so S is closed (see above)
             for ku, kv in pairs:
                 du, _, urows, ufresh = blocks[ku]
@@ -368,11 +373,13 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                     for v in vs:
                         for k, acc in _products_all_k(V, u, v).items():
                             d = du + dv - k - 1
-                            if try_add(d, den, acc) and theta:
-                                try_add(d, den, negated(d, acc))
-        trace.append({d: lattices[d].den for d in sorted(lattices)})
-        if lattices == start:
-            return TruncatedForm(V, lattices, [V.vacuum()] + gens,
+                            if try_add(d, den, acc):
+                                changed = True
+                                if theta:
+                                    try_add(d, den, negated(d, acc))
+        trace.append({d: live[d].den for d in sorted(live)})
+        if not changed:
+            return TruncatedForm(V, start, [V.vacuum()] + gens,
                                  gen_degree, trace)
         prev = start
     raise SaturationError(

@@ -9,6 +9,7 @@ from voaforms.exact import (
     DimensionMismatchError,
     NotSublatticeError,
     QMatrix,
+    SparseHNF,
     SpanMismatchError,
     ZLattice,
     _gram_blocks,
@@ -703,6 +704,92 @@ class TestSparseMembership:
                 assert list(sparse.items()) == snapshot
                 seen[kind] += 1
         assert min(seen.values()) > 30, seen
+
+
+class TestSparseHNF:
+    """SparseHNF.add against _from_ints of every vector added so far."""
+
+    @staticmethod
+    def check(h, added):
+        """h holds the canonical rows of the span of ``added``, a list of
+        ({column: int}, den) pairs, and its index matches its rows."""
+        n = h.ambient_dim
+        den = lcm(1, *(d for _, d in added))
+        want = ZLattice._from_ints(n, den, [
+            [w.get(j, 0) * (den // d) for j in range(n)] for w, d in added])
+        got = h.lattice()
+        assert (got.den, got.rows) == (want.den, want.rows), added
+        assert h.den == want.den and len(h.nonzeros) == want.rank
+        above: dict = {}
+        for t, nz in enumerate(h.nonzeros):
+            assert h.row_of[nz[0][0]] == t
+            for j, _ in nz[1:]:
+                above.setdefault(j, set()).add(t)
+        assert {j: ts for j, ts in h.above.items() if ts} == above
+        return want
+
+    def add(self, h, added, w, den):
+        """Add w / den, check the result, and return whether h changed."""
+        before = h.lattice()
+        changed = h.add(dict(w), den)
+        assert changed == (before.int_coordinates(w, den) is None)
+        added.append((w, den))
+        want = self.check(h, added)
+        assert (h.lattice() is before) == (not changed)
+        return changed, want
+
+    @pytest.mark.parametrize("rows, changes", [
+        # 6 does not divide pivot 4: the _xgcd merge leaves pivot 2
+        ([({0: 4, 1: 1}, 1), ({0: 6}, 1)], [True, True]),
+        # the denominator grows to 6, then w / den with gcd(den, w) = 3
+        # adds a vector over 2 that is already a member
+        ([({0: 1, 1: 1}, 2), ({1: 1}, 3), ({0: 3, 1: 3}, 6)],
+         [True, True, False]),
+        # column 1 becomes a pivot between pivots 0 and 2, and the entry
+        # 5 of the row above drops to 1
+        ([({0: 1, 1: 5}, 1), ({2: 1}, 1), ({1: 2}, 1)], [True] * 3),
+        # a new pivot left of every other row
+        ([({1: 3, 2: 1}, 1), ({0: 2, 1: 1}, 1)], [True, True]),
+        # the zero vector, empty or with explicit zeros, and a member
+        ([({}, 3), ({0: 0, 2: 0}, 1), ({0: 2, 2: 4}, 3), ({0: 4, 2: 8}, 3),
+          ({}, 5)], [False, False, True, False, False]),
+    ])
+    def test_cases(self, rows, changes):
+        h, added = SparseHNF(3), []
+        assert [self.add(h, added, w, d)[0] for w, d in rows] == changes
+
+    def test_random_insertions(self):
+        """Seeded sparse rows, one at a time; each kind of step occurs."""
+        rng = random.Random(17)
+        seen = dict.fromkeys(
+            ["merge", "den-growth", "new-pivot-above", "member", "zero"], 0)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            h, added = SparseHNF(n), []
+            for _ in range(rng.randint(1, 8)):
+                w = {j: rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9])
+                     for j in rng.sample(range(n), rng.randint(0, min(3, n)))}
+                if w and rng.random() < 0.2:
+                    w[rng.choice(list(w))] = 0
+                den = rng.choice([1, 1, 2, 3, 4, 6])
+                old = h.lattice()
+                changed, want = self.add(h, added, w, den)
+                f = want.den // old.den
+                seen["member"] += not changed
+                seen["zero"] += not any(w.values())
+                seen["den-growth"] += f > 1
+                seen["merge"] += any(
+                    want.rows[want.row_of[j]][j] < f * row[j]
+                    for j, row in zip(old.pivots, old.rows))
+                seen["new-pivot-above"] += any(
+                    j not in old.row_of and any(row[j] for row in old.rows)
+                    for j in want.pivots)
+                probe = dict(enumerate(rng.randint(-3, 3) for _ in range(n)))
+                for v in (probe, w):
+                    d = rng.choice([1, 2, 6])
+                    assert h.contains(v, d) == \
+                        (want.int_coordinates(v, d) is not None)
+        assert min(seen.values()) > 20, seen
 
 
 class TestZeroLattice:
