@@ -457,9 +457,13 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
     if len(signs) != len(mats):
         raise InputError("action: tail_signs: length != isometries length")
     auts = []
-    for i, m in enumerate(mats):
+    for i, (m, s) in enumerate(zip(mats, signs)):
+        if not (isinstance(m, list) and all(isinstance(r, list) for r in m)):
+            raise InputError(f"action: isometry {i}: not a list of rows")
+        if not (s is None or isinstance(s, list)):
+            raise InputError(f"action: tail_signs: entry {i}: not a list")
         try:
-            aut = fm.VOAAutomorphism(V, m, signs[i])
+            aut = fm.VOAAutomorphism(V, m, s)
         except (ValueError, TypeError) as e:
             raise InputError(f"action: isometry {i}: {e}")
         if aut in auts:  # each copy would double the characters of tel

@@ -4,8 +4,10 @@ Everything in this module is exact: scalars are ``fractions.Fraction``,
 lattices are free abelian subgroups of Q^n held in a canonical form, and all
 normal-form computations (Hermite, Smith) run over arbitrary-precision
 integers.  The canonical lattice representation is a row-style Hermite normal
-form over a cleared common denominator, so lattice equality is a plain
-comparison of the stored data.
+form over a cleared common denominator, stored as sparse rows of (column,
+value) pairs, so lattice equality is a plain comparison of the stored data.
+Dense rows are built only for the dense routines (``hnf_int``, Gram
+matrices); an integer matrix meets a sparse row in ``apply_columns``.
 
 Values are immutable, a SparseHNF apart; every other operation is a pure
 function of its inputs and may be evaluated concurrently without coordination.
@@ -332,23 +334,33 @@ def smith_invariants(rows: Sequence[Sequence[int]]) -> list:
     return d
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
-    """The product a @ b of integer matrices given by rows, as row tuples.
+def column_nonzeros(m: Sequence[Sequence]) -> list:
+    """The (row, entry) pairs of the nonzero entries of each column of m."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]]
+            for j in range(len(m[0]) if m else 0)]
 
-    Zero entries of both operands are skipped.  A ``b`` with no rows gives
-    rows of width zero.
+
+def apply_columns(cols: Sequence, nonzeros: Iterable, height: int) -> list:
+    """m @ v, for v given by its (index, entry) nonzeros.
+
+    ``cols`` holds the column nonzeros of m and ``height`` its row count;
+    each nonzero of v meets only the nonzeros of its column.
     """
+    out = [0] * height
+    for j, x in nonzeros:
+        for i, y in cols[j]:
+            out[i] += y * x
+    return out
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
+    """a @ b for integer matrices given by rows, as row tuples: row i is
+    b^T @ a_i, and the column nonzeros of b^T are b's row nonzeros.  A
+    ``b`` with no rows gives rows of width zero."""
     width = len(b[0]) if b else 0
-    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * width
-        for k, x in enumerate(row):
-            if x:
-                for j, y in nonzeros[k]:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    cols = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    return tuple(tuple(apply_columns(
+        cols, [(k, x) for k, x in enumerate(row) if x], width)) for row in a)
 
 
 # ---------------------------------------------------------------------------
@@ -358,25 +370,22 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
 class ZLattice:
     """Free abelian subgroup of Q^n in canonical form.
 
-    Stored as an integer HNF basis together with a minimal positive
-    denominator: the lattice is ``rows / den``.  Canonicalization is
-    idempotent, so equality is structural equality of the stored data.
+    The lattice is ``rows / den`` for its canonical integer HNF basis and
+    least positive ``den``.  Only sparse rows are stored, in pivot order:
+    ``nonzeros[t]`` holds the (column, value) pairs of row t's nonzeros in
+    column order, and ``row_of`` maps each pivot column to its row; dense
+    ``rows`` are derived on each read.  Canonicalization is idempotent, so
+    equality is structural equality of the stored data.
     """
 
-    __slots__ = ("ambient_dim", "den", "rows", "pivots", "row_of", "nonzeros")
+    __slots__ = ("ambient_dim", "den", "nonzeros", "row_of")
 
-    def __init__(self, ambient_dim: int, den: int, rows: tuple) -> None:
+    def __init__(self, ambient_dim: int, den: int, nonzeros: tuple) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", rows)
-        # (column, value) of each row's nonzero entries, pivot first; the
-        # pivot is the first nonzero column (stored rows are never zero)
-        nonzeros = tuple(tuple((j, x) for j, x in enumerate(row) if x)
-                         for row in rows)
         object.__setattr__(self, "nonzeros", nonzeros)
-        object.__setattr__(self, "pivots", tuple(nz[0][0] for nz in nonzeros))
         object.__setattr__(self, "row_of",
-                           {j: t for t, j in enumerate(self.pivots)})
+                           {nz[0][0]: t for t, nz in enumerate(nonzeros)})
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("ZLattice is immutable")
@@ -400,18 +409,11 @@ class ZLattice:
 
         ``den`` must be positive; it need not be the least denominator.
         """
-        basis = hnf_int(rows, ambient_dim)
-        g = den
-        for row in basis:
-            for x in row:
-                if x:
-                    g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            basis = [[x // g for x in row] for row in basis]
-        return cls(ambient_dim, den, tuple(tuple(r) for r in basis))
+        basis = [[(j, x) for j, x in enumerate(row) if x]
+                 for row in hnf_int(rows, ambient_dim)]
+        g = gcd(den, *(x for nz in basis for _, x in nz))
+        return cls(ambient_dim, den // g, tuple(
+            tuple((j, x // g) for j, x in nz) for nz in basis))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "ZLattice":
@@ -423,23 +425,32 @@ class ZLattice:
                                  for i in range(n)])
 
     @property
+    def rows(self) -> tuple:
+        """Dense row tuples of the canonical basis, built on each read."""
+        rows = [[0] * self.ambient_dim for _ in self.nonzeros]
+        for row, nz in zip(rows, self.nonzeros):
+            for j, x in nz:
+                row[j] = x
+        return tuple(map(tuple, rows))
+
+    @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.nonzeros)
 
     @property
     def basis(self) -> QMatrix:
         """Canonical rational basis, one generator per row."""
-        if not self.rows:
-            return QMatrix(0, self.ambient_dim, [])
-        return QMatrix.from_rows(
-            [[Fraction(x, self.den) for x in row] for row in self.rows])
+        return QMatrix(self.rank, self.ambient_dim,
+                       [x for row in self.basis_rows() for x in row])
 
     def basis_rows(self) -> list:
-        return [self.basis_row(i) for i in range(len(self.rows))]
+        return [self.basis_row(i) for i in range(len(self.nonzeros))]
 
     def basis_row(self, i: int) -> list:
         """Row i of the canonical basis, as Fractions."""
-        return [Fraction(x, self.den) for x in self.rows[i]]
+        row = dict(self.nonzeros[i])
+        return [Fraction(row.get(j, 0), self.den)
+                for j in range(self.ambient_dim)]
 
     def scale(self, c) -> "ZLattice":
         c = Fraction(c)
@@ -501,10 +512,10 @@ class ZLattice:
     def __eq__(self, other) -> bool:
         return (isinstance(other, ZLattice)
                 and self.ambient_dim == other.ambient_dim
-                and self.den == other.den and self.rows == other.rows)
+                and self.den == other.den and self.nonzeros == other.nonzeros)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.den, self.rows))
+        return hash((self.ambient_dim, self.den, self.nonzeros))
 
     def __repr__(self) -> str:
         return (f"ZLattice(dim={self.ambient_dim}, rank={self.rank}, "
@@ -515,11 +526,11 @@ class SparseHNF:
     """A lattice rows / den in canonical form, grown in place one vector at
     a time (Cohen 1993, section 2.4).
 
-    It holds the data of the equal ``ZLattice`` sparsely: row t has the
-    (column, value) pairs ``nonzeros[t]`` in column order, ``row_of`` maps
-    each pivot to its row, and ``above`` maps a column to the rows with a
-    nonzero there right of their pivot.  The lattice only grows, so a pivot
-    once made stays, and so does its row number.
+    It holds the ``den``, ``nonzeros`` and ``row_of`` of the equal
+    ``ZLattice``, but with rows in the order their pivots were made, and
+    ``above`` maps a column to the rows with a nonzero there right of their
+    pivot.  The lattice only grows, so a pivot once made stays, and so does
+    its row number.
     """
 
     def __init__(self, ambient_dim: int) -> None:
@@ -528,16 +539,13 @@ class SparseHNF:
 
     def lattice(self) -> ZLattice:
         """The lattice as a ZLattice, built once per change."""
-        if self._lattice is None:
-            n = self.ambient_dim
-            self._lattice = ZLattice(n, self.den, tuple(  # rows by pivot
-                tuple(map(dict(nz).get, range(n), [0] * n))
-                for nz in sorted(self.nonzeros)))
+        if self._lattice is None:  # rows in pivot order
+            self._lattice = ZLattice(self.ambient_dim, self.den,
+                                     tuple(sorted(self.nonzeros)))
         return self._lattice
 
     def contains(self, w: dict, den: int) -> bool:
-        """Whether w / den is a member, by ZLattice.int_coordinates, which
-        reads only the den, row_of and nonzeros that both classes hold."""
+        """Whether w / den is a member, by ZLattice.int_coordinates."""
         return ZLattice.int_coordinates(self, w, den) is not None
 
     def add(self, w: dict, den: int) -> bool:
@@ -651,23 +659,20 @@ def lattice_intersect(a: ZLattice, b: ZLattice) -> ZLattice:
         raise DimensionMismatchError("ambient dimensions differ")
     n = a.ambient_dim
     den = lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    arows = [[x * fa for x in row] for row in a.rows]
-    brows = [[x * fb for x in row] for row in b.rows]
     # Augmented rows [u | u] for u in A and [w | 0] for w in B, echelonized
     # with pivots on the left block only: a combination x*A + y*B with zero
     # left block satisfies x*A = -y*B, so its right block x*A lies in the
     # intersection, and every intersection element arises this way.
     pivots: dict = {}
     inter = []
-    for u in arows:
-        vec = list(u) + list(u)
-        if _echelon_insert_partial(pivots, vec, n) is None and any(vec[n:]):
-            inter.append(vec[n:])
-    for w in brows:
-        vec = list(w) + [0] * n
-        if _echelon_insert_partial(pivots, vec, n) is None and any(vec[n:]):
-            inter.append(vec[n:])
+    for lat, keep in ((a, True), (b, False)):
+        f = den // lat.den
+        for row in lat.rows:
+            u = [x * f for x in row]
+            vec = u + (u if keep else [0] * n)
+            if _echelon_insert_partial(pivots, vec, n) is None \
+                    and any(vec[n:]):
+                inter.append(vec[n:])
     return ZLattice._from_ints(n, den, inter)
 
 
@@ -763,13 +768,14 @@ def int_dual_lattice(a: ZLattice, form: Sequence[Sequence[int]],
     that are not checked for shape or symmetry."""
     if a.rank == 0:
         return a
-    m = int_gram(a.rows, form)
+    h = a.rows
+    m = int_gram(h, form)
     solved = []
     for block in _gram_blocks(m):
         try:
             solved.append(_bareiss_solve(
                 [[m[i][j] for j in block] for i in block],
-                [a.rows[i] for i in block]))
+                [h[i] for i in block]))
         except DegenerateFormError:
             raise DegenerateFormError("form is degenerate on the span of A")
     d = lcm(*(abs(db) for db, _ in solved))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -313,6 +314,10 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         r = max(tail, tuple(-a for a in tail))
         return d, r, tail == r
 
+    @cache  # one verdict per pair of tails for the whole saturation
+    def within(tu: tuple, tv: tuple) -> bool:
+        return V.lattice.norm([a + b for a, b in zip(tu, tv)]) <= 2 * V.cutoff
+
     zero = (0,) * V.lattice.rank
     trace = []
     prev: dict = {}
@@ -345,8 +350,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
             for kv, (dv, tv, _, _) in order:
                 if (ku, kv) < (mirror[ku], mirror[kv]):
                     continue  # the theta-image of a canonical pair
-                charge = [a + b for a, b in zip(tu, tv)]
-                if V.lattice.norm(charge) > 2 * V.cutoff:
+                if not within(tu, tv):
                     continue  # no product of the pair within the cutoff
                 if ku >= kv:
                     phases[0].append((ku, kv))

@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 from voaforms.exact import (
     ZLattice,
     DimensionMismatchError,
+    apply_columns,
     as_integer,
+    column_nonzeros,
     hnf_int,
     kernel_int,
     lattice_intersect,
@@ -47,25 +49,6 @@ def _mat_tuple(m: Sequence[Sequence[int]]) -> tuple:
 
 def _mat_identity(n: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def column_nonzeros(m: Sequence[Sequence]) -> list:
-    """The (row, entry) pairs of the nonzero entries of each column of m."""
-    return [[(i, row[j]) for i, row in enumerate(m) if row[j]]
-            for j in range(len(m[0]) if m else 0)]
-
-
-def apply_columns(cols: Sequence, nonzeros: Iterable, height: int) -> list:
-    """m @ v, for v given by its (index, entry) nonzeros.
-
-    ``cols`` holds the column nonzeros of m and ``height`` its row count;
-    each nonzero of v meets only the nonzeros of its column.
-    """
-    out = [0] * height
-    for j, x in nonzeros:
-        for i, y in cols[j]:
-            out[i] += y * x
-    return out
 
 
 def apply_matrix(m: Sequence[Sequence], vector: Sequence) -> list:
@@ -146,17 +129,19 @@ def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
     if lattice.rank == 0 or not matrices:
         return lattice
     n = lattice.ambient_dim
-    h = lattice.rows
+    h = lattice.nonzeros
     # x = y*H/D lies in the sublattice iff y * (H*(g^T - s*I)) = 0 for all
     # pairs; stack the constraint blocks horizontally.
     stacked = [[] for _ in h]
     for g, s in zip(matrices, signs):
-        cols = column_nonzeros(g)
-        for row, nz, out in zip(h, lattice.nonzeros, stacked):
-            img = apply_columns(cols, nz, n)
-            out.extend(y - s * x for y, x in zip(img, row))
+        cols = column_nonzeros([[x - s * (i == j) for j, x in enumerate(row)]
+                                for i, row in enumerate(g)])
+        for nz, out in zip(h, stacked):
+            out.extend(apply_columns(cols, nz, n))
     ker = kernel_int(stacked, len(stacked[0]))
-    return ZLattice._from_ints(n, lattice.den, mat_mul(ker, h))
+    # row i of ker @ H is H^T @ ker_i, and column t of H^T is row t of H
+    return ZLattice._from_ints(n, lattice.den, [apply_columns(
+        h, [(t, c) for t, c in enumerate(k) if c], n) for k in ker])
 
 
 def eigenlattice(lattice: ZLattice, action: SignedAction,

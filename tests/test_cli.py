@@ -371,6 +371,15 @@ MALFORMED = {
         "tel", "--manifest", str(GOLDEN / "build.json"),
         "--action", _action(t, '{"isometries": [[["-1"]]]}')],
         "action: isometry 0"),
+    "tel-isometry-not-rows": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(t, '{"isometries": [[-1]]}')],
+        "action: isometry 0"),
+    "tel-tail-signs-entry-number": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(
+            t, '{"isometries": [[[-1]]], "tail_signs": [5]}')],
+        "action: tail_signs: entry 0"),
     "tel-tail-sign-boolean": (lambda t: [
         "tel", "--manifest", str(GOLDEN / "build.json"),
         "--action", _action(
@@ -528,6 +537,17 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
     assert main(make_argv(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: "), err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("tel-isometry-not-rows", "not a list of rows"),
+    ("tel-tail-signs-entry-number", "not a list")])
+def test_malformed_action_entry_message(tmp_path, capsys, case, message):
+    """A bad action entry is named by its own field, in words, not by a
+    Python error about iterating an int."""
+    make_argv, field = MALFORMED[case]
+    assert main(make_argv(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {field}: {message}\n"
 
 
 @pytest.mark.parametrize("text", [LONG_INTEGER, DEEP_NESTING],

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -488,9 +489,10 @@ class TestCoordinates:
 
     def test_pivots_are_first_nonzero_columns(self):
         for a in self.lattices():
-            assert a.pivots == tuple(
-                next(j for j, x in enumerate(row) if x) for row in a.rows)
-            assert list(a.pivots) == sorted(set(a.pivots))
+            pivots = [nz[0][0] for nz in a.nonzeros]
+            assert pivots == [
+                next(j for j, x in enumerate(row) if x) for row in a.rows]
+            assert pivots == sorted(set(pivots))
 
     def test_coordinates_match_solver(self):
         grid = grid_points(3, 1, denominator=2)
@@ -571,8 +573,8 @@ class TestSparseMembership:
             assert a.nonzeros == tuple(
                 tuple((j, x) for j, x in enumerate(row) if x)
                 for row in a.rows)
-            assert a.pivots == tuple(nz[0][0] for nz in a.nonzeros)
-            assert a.row_of == {j: t for t, j in enumerate(a.pivots)}
+            assert a.row_of == {nz[0][0]: t
+                                for t, nz in enumerate(a.nonzeros)}
 
     def test_sparse_members(self, lattices):
         rng = random.Random(5)
@@ -616,7 +618,7 @@ class TestSparseMembership:
     def test_off_pivot_vectors_are_not_members(self, lattices):
         seen = 0
         for a in lattices:
-            free = [j for j in range(a.ambient_dim) if j not in a.pivots]
+            free = [j for j in range(a.ambient_dim) if j not in a.row_of]
             for j in free:
                 for w in ([0] * a.ambient_dim, [1] * a.ambient_dim):
                     w = [x if i in free else 0 for i, x in enumerate(w)]
@@ -630,7 +632,7 @@ class TestSparseMembership:
     def test_remainder_at_a_pivot(self, lattices):
         seen = 0
         for a in lattices:
-            for row, j in zip(a.rows, a.pivots):
+            for row, j in zip(a.rows, (nz[0][0] for nz in a.nonzeros)):
                 if row[j] == 1:
                     continue
                 w = [x * 3 for x in row]
@@ -684,11 +686,12 @@ class TestSparseMembership:
             w = [sum(c * row[j] for c, row in zip(coords, a.rows))
                  for j in range(dim)]
             cases = [("member", w)]
-            if a.pivots[-1] < dim - 1:
+            first, last = a.nonzeros[0][0][0], a.nonzeros[-1][0][0]
+            if last < dim - 1:
                 v = list(w)
-                v[rng.randrange(a.pivots[-1] + 1, dim)] += 1
+                v[rng.randrange(last + 1, dim)] += 1
                 cases.append(("past-last", v))
-            for j in range(a.pivots[0], a.pivots[-1]):
+            for j in range(first, last):
                 if w[j] and j not in a.row_of:
                     cases.append(("between", w[:j] + [0] + w[j + 1:]))
             for kind, v in cases:
@@ -712,13 +715,20 @@ class TestSparseHNF:
     @staticmethod
     def check(h, added):
         """h holds the canonical rows of the span of ``added``, a list of
-        ({column: int}, den) pairs, and its index matches its rows."""
+        ({column: int}, den) pairs, and its index matches its rows.  Its
+        lattice, _from_ints and from_rows of that span agree in every
+        stored and derived field, and compare and hash equal."""
         n = h.ambient_dim
         den = lcm(1, *(d for _, d in added))
         want = ZLattice._from_ints(n, den, [
             [w.get(j, 0) * (den // d) for j in range(n)] for w, d in added])
+        rational = ZLattice.from_rows(n, [
+            [Fraction(w.get(j, 0), d) for j in range(n)] for w, d in added])
         got = h.lattice()
-        assert (got.den, got.rows) == (want.den, want.rows), added
+        for other in (want, rational):
+            assert other == got and hash(other) == hash(got), added
+            assert (other.den, other.rows, other.nonzeros, other.row_of) \
+                == (got.den, got.rows, got.nonzeros, got.row_of), added
         assert h.den == want.den and len(h.nonzeros) == want.rank
         above: dict = {}
         for t, nz in enumerate(h.nonzeros):
@@ -780,16 +790,34 @@ class TestSparseHNF:
                 seen["den-growth"] += f > 1
                 seen["merge"] += any(
                     want.rows[want.row_of[j]][j] < f * row[j]
-                    for j, row in zip(old.pivots, old.rows))
+                    for j, row in zip((nz[0][0] for nz in old.nonzeros),
+                                      old.rows))
                 seen["new-pivot-above"] += any(
                     j not in old.row_of and any(row[j] for row in old.rows)
-                    for j in want.pivots)
+                    for ((j, _), *_) in want.nonzeros)
                 probe = dict(enumerate(rng.randint(-3, 3) for _ in range(n)))
                 for v in (probe, w):
                     d = rng.choice([1, 2, 6])
                     assert h.contains(v, d) == \
                         (want.int_coordinates(v, d) is not None)
         assert min(seen.values()) > 20, seen
+
+    def test_snapshot_stays_sparse(self):
+        """The ZLattice of 3,000 rows with two nonzeros each over 3,000
+        columns holds only those nonzeros; as dense rows it would hold
+        9,000,000 entries, some 72 MB of pointers."""
+        n = 3000
+        h = SparseHNF(n)
+        for j in range(n):
+            assert h.add({j: 2, j + 1: 1} if j + 1 < n else {j: 2}, 1)
+        tracemalloc.start()
+        try:
+            lat = h.lattice()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (lat.rank, lat.den, lat.nonzeros[0]) == (n, 1, ((0, 2), (1, 1)))
+        assert peak <= 5 * 2**20, peak
 
 
 class TestZeroLattice:
