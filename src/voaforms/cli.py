@@ -463,6 +463,10 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
         if not (s is None or isinstance(s, list)):
             raise InputError(f"action: tail_signs: entry {i}: not a list")
         try:
+            s = fm.VOAAutomorphism.checked_signs(V.lattice.rank, s)
+        except ValueError as e:
+            raise InputError(f"action: tail_signs: entry {i}: {e}")
+        try:
             aut = fm.VOAAutomorphism(V, m, s)
         except (ValueError, TypeError) as e:
             raise InputError(f"action: isometry {i}: {e}")

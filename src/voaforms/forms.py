@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from voaforms.dihedral import FiniteAlgebra, trace_form
@@ -33,7 +33,6 @@ from voaforms.exact import (
     format_rational,
     int_dual_lattice,
     int_gram,
-    kernel_int,
     lattice_intersect,
     lattice_sum,
     mat_mul,
@@ -217,32 +216,40 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
 
     A pass multiplies its canonical pairs in two phases.  Phase 1 takes
     the pairs of blocks with key B > key C and, inside one block, the row
-    pairs (u, v) with u at or after v; phase 2 takes the rest, and runs
-    only if phase 1 changed a lattice, so every pass that runs it ends as
-    before.  If phase 1 changes nothing, S = S_t is closed under all
-    products, so the pass is the last, as it would be with both phases.
-    By the argument above S contains the products of every phase-1 pair
-    of its rows.  (1) Let key B > key C.  If {B, C} is not {D, theta D},
+    pairs (u, v) with u at or after v; phase 2 takes the rest.  Let A be
+    the products that changed a lattice in phase 1 (not their
+    theta-images) and L the live lattices after it, so L = S + Z A + Z
+    theta A for S = S_t.  Phase 2 runs only if some a in A has a
+    derivative a_(-i-1) vac = L(-1)^i a / i!, with deg a + i within the
+    cutoff, outside L; one product a x vac gives them all.  Otherwise
+    every phase-2 product lies in L already, so the pass ends as it would
+    with both phases; if phase 1 changes nothing, A is empty, S is closed
+    under all products, and the pass is the last.
+
+    By the argument above L contains the products of every phase-1 pair
+    of rows of S.  (1) Let key B > key C.  If {B, C} is not {D, theta D},
     the key order agrees with theta on it, so (B, C) or (theta B, theta
     C) is canonical and in phase 1; if C = theta B, (B, C) is canonical.
-    By theta-stability, S_B x S_C lies in S either way, S_B the part of S
+    By theta-stability, S_B x S_C lies in L either way, S_B the part of S
     of block B; that includes C = the degree-0 block of vac / m, whose
-    key is the least.  (2) For a block B whose diagonal pair is
-    canonical, and a pair (u, v) of its rows with u before v, skew
-    symmetry Y(u,z)v = e^(zL(-1)) Y(v,-z)u (Frenkel-Huang-Lepowsky 1993)
-    reads
+    key is the least.  (2) A phase-2 pair (u, v) is a pair of rows of one
+    block with u before v, or of blocks with key B < key C; either way
+    the products of (v, u) lie in L, by phase 1 or (1).  Skew symmetry
+    Y(u,z)v = e^(zL(-1)) Y(v,-z)u (Frenkel-Huang-Lepowsky 1993) reads
 
         u_k v = sum_(i>=0) (-1)^(k+i+1) (v_(k+i) u)_(-i-1) vac.
 
-    Each w = v_(k+i) u is a phase-1 product, so it lies in S.  Each
-    w_(-i-1) vac does too: w is an integer combination of rows, (1) puts
-    each row of positive degree times vac / m in S, and vac = m (vac / m)
-    (when w has degree 0, w_(-i-1) vac is w or 0).  So S_B x S_B lies in
-    S, and by theta so does S_(theta B) x S_(theta B).  (3) For key B <
-    key C, the same identity reduces S_B x S_C to S_C x S_B, which lies in
-    S by (1).  No vector here exceeds the cutoff: v_(k+i) u has degree
-    deg(u_k v) - i, and its (-i-1)-product with vac raises that by i, so
-    the identity holds in the truncated VOA.
+    Each w = v_(k+i) u lies in L, so w = s + sum n_a a + sum n'_a theta a
+    over a in A of degree deg w, with s in S and integers n_a, n'_a.
+    Then s_(-i-1) vac lies in L: s is an integer combination of rows, (1)
+    puts each row of positive degree times vac / m in L, and vac = m (vac
+    / m) (when s has degree 0, s_(-i-1) vac is s or 0).  Each a_(-i-1)
+    vac lies in L by the test, as deg a + i = deg(u_k v), and so does
+    (theta a)_(-i-1) vac = theta(a_(-i-1) vac), L being theta-stable and
+    theta vac = vac.  So u_k v lies in L, and by theta so do the products
+    of the theta-image of the pair.  No vector here exceeds the cutoff:
+    v_(k+i) u has degree deg(u_k v) - i, and its (-i-1)-product with vac
+    raises that by i, so the identity holds in the truncated VOA.
 
     A failure to stabilize raises SaturationError carrying the per-pass
     denominator trace (which is also the denominator-growth report for
@@ -286,11 +293,15 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
             tm = signed[d] = negation_map(V, d)
         return {tm[i][0]: tm[i][1] * x for i, x in w.items()}
 
+    def known(d: int, den: int, w: dict) -> bool:
+        """Whether the exponent test puts w / den in the degree-d lattice,
+        for w a {index: int} map over the degree-d basis."""
+        e = exponents.get(d)
+        return bool(e) and e[0] * gcd(*w.values()) % (den * e[1]) == 0
+
     def try_add(d: int, den: int, w: dict) -> bool:
-        """Add w / den, for w a {index: int} map over the degree-d basis;
-        True if that changed the lattice."""
-        known = exponents.get(d)
-        if known and known[0] * gcd(*w.values()) % (den * known[1]) == 0:
+        """Add w / den; True if that changed the lattice."""
+        if known(d, den, w):
             return False
         lat = live.get(d) or SparseHNF(V.dim(d))
         if not lat.add(w, den):
@@ -318,6 +329,22 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     def within(tu: tuple, tv: tuple) -> bool:
         return V.lattice.norm([a + b for a, b in zip(tu, tv)]) <= 2 * V.cutoff
 
+    vac = [(V.vacuum_monomial(), 1)]
+
+    def derivatives_in(a: tuple) -> bool:
+        """Whether a_(-i-1) vac = L(-1)^i a / i! lies in the live lattice
+        for every i with deg a + i within the cutoff, for a = (d, den, w)."""
+        d, den, w = a
+        basis = V.graded_basis(d)
+        row = [(basis[j], x) for j, x in w.items() if x]
+        den *= V.product_den
+        for k, acc in _products_all_k(V, row, vac).items():
+            t = d - k - 1
+            lat = live.get(t) or SparseHNF(V.dim(t))
+            if not (known(t, den, acc) or lat.contains(acc, den)):
+                return False
+        return True
+
     zero = (0,) * V.lattice.rank
     trace = []
     prev: dict = {}
@@ -343,7 +370,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         new = {kb: [v for v, f in zip(vs, fs) if f]
                for kb, (_, _, vs, fs) in order}
         phases = ([], [])  # canonical block pairs of phases 1 and 2
-        changed = False
+        added = []  # A: the products that changed a lattice so far
         for ku, (du, tu, _, _) in order:
             if du == 0:
                 continue  # vacuum as left factor only reproduces the input
@@ -357,8 +384,8 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                 if ku <= kv:  # a diagonal pair is split between the phases
                     phases[1].append((ku, kv))
         for phase1, pairs in zip((True, False), phases):
-            if not phase1 and not changed:
-                break  # phase 1 added nothing, so S is closed (see above)
+            if not phase1 and all(map(derivatives_in, added)):
+                break  # every phase-2 product lies in L (see above)
             for ku, kv in pairs:
                 du, _, urows, ufresh = blocks[ku]
                 dv, _, vrows, _ = blocks[kv]
@@ -378,11 +405,11 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                         for k, acc in _products_all_k(V, u, v).items():
                             d = du + dv - k - 1
                             if try_add(d, den, acc):
-                                changed = True
+                                added.append((d, den, acc))
                                 if theta:
                                     try_add(d, den, negated(d, acc))
         trace.append({d: live[d].den for d in sorted(live)})
-        if not changed:
+        if not added:
             return TruncatedForm(V, start, [V.vacuum()] + gens,
                                  gen_degree, trace)
         prev = start
@@ -763,14 +790,9 @@ class VOAAutomorphism:
         g = V.lattice.gram
         if mat_mul(mat_mul(list(zip(*S)), g), S) != g:
             raise ValueError("matrix does not preserve the form")
-        if basis_signs is None:
-            basis_signs = (1,) * n
-        signs = tuple(as_integer(s, "basis sign") for s in basis_signs)
-        if len(signs) != n or any(s not in (1, -1) for s in signs):
-            raise ValueError("basis signs must be +-1 of length rank")
         self.host = V
         self.isometry = S
-        self.basis_signs = signs
+        self.basis_signs = self.checked_signs(n, basis_signs)
         self._mats = {}
         # delta[i][j] = eps(e_i, e_j) eps(S e_i, S e_j), S e_i column i of S
         unit = [[int(a == i) for a in range(n)] for i in range(n)]
@@ -778,6 +800,16 @@ class VOAAutomorphism:
         self._delta = tuple(tuple(V.epsilon(unit[i], unit[j])
                                   * V.epsilon(cols[i], cols[j])
                                   for j in range(n)) for i in range(n))
+
+    @staticmethod
+    def checked_signs(n: int, basis_signs: Sequence[int] | None) -> tuple:
+        """The basis signs as n ints +-1, all 1 for None."""
+        if basis_signs is None:
+            return (1,) * n
+        signs = tuple(as_integer(s, "basis sign") for s in basis_signs)
+        if len(signs) != n or any(s not in (1, -1) for s in signs):
+            raise ValueError("basis signs must be +-1 of length rank")
+        return signs
 
     def tail_sign(self, alpha: Sequence[int]) -> int:
         """The coboundary sign on e^alpha."""
@@ -1015,11 +1047,8 @@ def degree_mode_matrices(J: TruncatedForm, degree: int) -> list:
     dim = len(rows)
     mats = []
     for u in rows:
-        cols = []
-        for v in rows:
-            w = _products_all_k(V, u, v).get(degree - 1, {})
-            cols.append(_span_coords(lat, w, den) if any(w.values())
-                        else [Fraction(0)] * dim)
+        cols = [_span_coords(lat, _products_all_k(V, u, v).get(
+            degree - 1, {}), den) for v in rows]
         mats.append(QMatrix(dim, dim, [cols[j][k] for k in range(dim)
                                        for j in range(dim)]))
     return mats
@@ -1110,12 +1139,12 @@ def manifest_generators(V: TruncatedVOA, data: dict) -> list:
 def _span_coords(lat: ZLattice, w: dict, den: int) -> list:
     """Rational coordinates of w / den, w a {column: int} map, in lat's basis.
 
-    The basis rows are independent, so the rows stacked with w have a
-    kernel of rank one exactly when w lies in their span.
+    Solving along the pivots, as int_coordinates does, divides by each
+    pivot once, so s w / den has integer coordinates for s = den times
+    the product of the pivots whenever w / den lies in the rational span.
     """
-    row = [w.get(j, 0) for j in range(lat.ambient_dim)]
-    ker = kernel_int(list(lat.rows) + [row], lat.ambient_dim)
-    if not ker:
+    s = den * prod(nz[0][1] for nz in lat.nonzeros)
+    coords = lat.int_coordinates({j: s * x for j, x in w.items()}, den)
+    if coords is None:
         raise FormError("product left the rational span of the piece")
-    *y, c = ker[0]
-    return [Fraction(-x * lat.den, c * den) for x in y]
+    return [Fraction(c, s) for c in coords]

@@ -384,7 +384,22 @@ MALFORMED = {
         "tel", "--manifest", str(GOLDEN / "build.json"),
         "--action", _action(
             t, '{"isometries": [[[-1]]], "tail_signs": [[true]]}')],
-        "action: isometry 0"),
+        "action: tail_signs: entry 0"),
+    "tel-tail-sign-fraction": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(
+            t, '{"isometries": [[[-1]]], "tail_signs": [[1.5]]}')],
+        "action: tail_signs: entry 0"),
+    "tel-tail-sign-not-unit": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(
+            t, '{"isometries": [[[-1]]], "tail_signs": [[2]]}')],
+        "action: tail_signs: entry 0"),
+    "tel-tail-sign-wrong-length": (lambda t: [
+        "tel", "--manifest", str(GOLDEN / "build.json"),
+        "--action", _action(
+            t, '{"isometries": [[[-1]]], "tail_signs": [[1, -1]]}')],
+        "action: tail_signs: entry 0"),
     "tel-lift-not-involution": (lambda t: [
         "tel", "--manifest", _built(t, "a2n2", A2_LATTICE, A2_GENERATORS, 2),
         "--action", _action(t, '{"isometries": [[[1, 1], [0, -1]]]}')],

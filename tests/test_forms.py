@@ -265,6 +265,14 @@ class TestExponentFastPath:
         ([[2]], 4, ["1/4 * h(1,-1) * h(1,-1) * e(0)", "1/2 * h(1,-2) * e(0)"],
          5, "ff5cbdb884cacb3c"),
         ([[2, 1], [1, 2]], 4, STANDARD_A2, 50, "cd0a0233450908fb"),
+        # phase 2 of the first pass runs, its derivative test failing, and
+        # each takes one pass more without it
+        ([[2, 0], [0, 2]], 2, ["1 * e(1,0)", "1 * e(0,-1)", "1 * e(-1,1)"],
+         50, "b57c051c1516bd8d"),
+        ([[2, 0], [0, 2]], 3, ["3 * e(-1,0)", "3 * e(0,-1)"], 50,
+         "0195ab8e862aef69"),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 2,
+         ["1 * e(-1,0,0)", "3 * e(1,1,0)"], 50, "b7dce37326816226"),
     ])
     def test_saturations_unchanged(self, gram, cutoff, generators,
                                    iter_bound, digest):
@@ -299,16 +307,22 @@ class TestExponentFastPath:
 
 
 class TestPhaseOneStop:
-    """A pass ends after phase 1 when phase 1 adds nothing: skew symmetry
-    then puts every product of the pairs phase 2 would take in the
-    lattices.  Each input here ends on such a pass, and the last one needs
-    the right-vacuum pairs of phase 1 to reach L(-1) e(1)."""
+    """A pass ends after phase 1 when the L(-1)-derivatives of what phase
+    1 added lie in the lattices, and so when phase 1 adds nothing: skew
+    symmetry then puts every product of the pairs phase 2 would take in
+    the lattices.  Each input here ends on a pass phase 1 settles, and
+    skips phase 2 of a pass that changed a lattice (passes 2-3 of the
+    third and fifth, pass 1 of the fourth, pass 2 of the others); the
+    fourth needs the right-vacuum pairs of phase 1 to reach L(-1) e(1),
+    and the last does not use theta."""
 
     @pytest.mark.parametrize("gram, cutoff, generators", [
         ([[2]], 5, ["1 * e(1)", "1 * e(-1)"]),
         ([[2, 1], [1, 2]], 3, STANDARD_A2),
         ([[2]], 5, ["1 * e(1) + 1 * e(-1)"]),
         ([[2]], 3, ["1 * e(1)"]),
+        ([[2, 0], [0, 2]], 3, ["1 * e(1,0)", "1 * e(0,-1)", "1 * e(-1,1)"]),
+        ([[2]], 4, ["1 * e(1)", "1 * h(1,-1) * e(-1)"]),
     ])
     def test_closed_under_every_product(self, gram, cutoff, generators):
         V = TruncatedVOA(EvenLattice(gram), cutoff)
@@ -321,13 +335,16 @@ class TestPhaseOneStop:
         assert missing == []
 
     def test_product_work_bound(self, monkeypatch):
-        """Row pairs multiplied, exactly.  standard_form on A2 at cutoff 3
-        multiplies 5,600 when its last pass takes both phases, 3,440 when
-        phase 1 ends it, and 1,615 when it also takes one block pair per
-        negation orbit and skips the pairs whose charge lies above the
-        cutoff.  A loop that leaves the in-block pairs (u, v) with u before
-        v out of phase 2 makes 414 instead of 446 on the first input, with
-        the same lattices."""
+        """Row pairs multiplied, exactly, with the products a x vac of the
+        derivative test.  standard_form on A2 at cutoff 3 multiplies 5,600
+        when its last pass takes both phases, 3,440 when phase 1 ends it,
+        1,615 when it also takes one block pair per negation orbit and
+        skips the pairs whose charge lies above the cutoff, and 1,379 when
+        phase 2 also waits on the derivative test.  A loop that always
+        skips phase 2 makes 280 instead of 298 on the first input, and
+        one that leaves the in-block pairs (u, v) with u before v out of
+        phase 2 makes 207 instead of 209 on the last, with the same
+        lattices."""
         calls = [0]
         products_all_k = fm._products_all_k
 
@@ -337,10 +354,13 @@ class TestPhaseOneStop:
 
         monkeypatch.setattr(fm, "_products_all_k", counting)
         for gram, cutoff, generators, want in [
-                ([[2]], 5, ["1 * e(1) + 1 * e(-1)"], 446),
-                ([[2]], 5, ["1 * e(1)", "1 * e(-1)"], 902),
-                ([[2, 1], [1, 2]], 3, STANDARD_A2, 1615),
-                ([[2]], 4, ["1 * e(1)", "1 * h(1,-1) * e(-1)"], 575)]:
+                ([[2]], 5, ["1 * e(1) + 1 * e(-1)"], 298),
+                ([[2]], 5, ["1 * e(1)", "1 * e(-1)"], 796),
+                ([[2, 1], [1, 2]], 3, STANDARD_A2, 1379),
+                ([[2]], 4, ["1 * e(1)", "1 * h(1,-1) * e(-1)"], 499),
+                ([[2, 0], [0, 2]], 3,
+                 ["1 * e(1,0) + 1 * e(-1,0)", "1 * e(0,1) + 1 * e(0,-1)"],
+                 209)]:
             V = TruncatedVOA(EvenLattice(gram), cutoff)
             calls[0] = 0
             fm.generate_form(V, [V.parse_element(s) for s in generators])
@@ -910,6 +930,29 @@ class TestDegreeTraceForm:
         for mat, want in zip(fm.degree_mode_matrices(half, 2),
                              fm.degree_mode_matrices(j4, 2)):
             assert mat == want.scale(F(1, 2))
+
+    @pytest.mark.parametrize("degree, digest", [
+        (2, "2691ef9173f46b7d"), (3, "0249cad97a51a41d")])
+    def test_mode_matrices_unchanged(self, degree, digest):
+        """Digests of the A2 cutoff-3 standard form's mode matrices, taken
+        when each coordinate solve took an integer kernel."""
+        V = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3)
+        mats = fm.degree_mode_matrices(fm.standard_form(V), degree)
+        data = repr([m.entries for m in mats]).encode()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+    def test_span_coords(self):
+        # rows (1, 2, 0) and (0, 3, 0) over 2: rational coordinates inside
+        # the span, a FormError outside it
+        lat = ZLattice.from_rows(3, [[F(1, 2), 1, 0], [0, F(3, 2), 0]])
+        rows = lat.basis_rows()
+        for w, den in [({0: 1}, 1), ({0: 4, 1: -7}, 3), ({}, 5)]:
+            coords = fm._span_coords(lat, w, den)
+            assert [sum(c * r[j] for c, r in zip(coords, rows))
+                    for j in range(3)] == [F(w.get(j, 0), den)
+                                           for j in range(3)]
+        with pytest.raises(FormError, match="rational span"):
+            fm._span_coords(lat, {1: 1, 2: 1}, 1)
 
     def test_trace_form_matches_matrix_products(self, j4):
         from voaforms.dihedral import ad_matrix, dihedral_2a, killing_form
