@@ -6,8 +6,10 @@ normal-form computations (Hermite, Smith) run over arbitrary-precision
 integers.  The canonical lattice representation is a row-style Hermite normal
 form over a cleared common denominator, stored as sparse rows of (column,
 value) pairs, so lattice equality is a plain comparison of the stored data.
-Dense rows are built only for the dense routines (``hnf_int``, Gram
-matrices); an integer matrix meets a sparse row in ``apply_columns``.
+Every Hermite form is built by one routine, the in-place insertion of
+``SparseHNF``; dense rows are built only where a caller asks for them
+(``hnf_int``, ``kernel_int``) and for Gram matrices and linear solves, and
+an integer matrix meets a sparse row in ``apply_columns``.
 
 Values are immutable, a SparseHNF apart; every other operation is a pure
 function of its inputs and may be evaluated concurrently without coordination.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -230,39 +231,6 @@ def _bareiss_solve(m: list, b: list) -> tuple:
     return prev, [row[n:] for row in a]
 
 
-def _echelon_insert_partial(pivots: dict, vec: list, npiv: int) -> list | None:
-    """Reduce ``vec`` against pivot rows in place, inserting it if independent.
-
-    ``pivots`` maps a pivot column (< npiv) to its row.  Returns the inserted
-    row, or None if ``vec`` reduced to zero over the pivot columns.  Rows may
-    be wider than the pivot range (augmented columns ride along).
-    """
-    width = len(vec)
-    j = 0
-    while j < npiv:
-        if vec[j] == 0:
-            j += 1
-            continue
-        row = pivots.get(j)
-        if row is None:
-            pivots[j] = vec
-            return vec
-        a, b = row[j], vec[j]
-        if b % a == 0:
-            q = b // a
-            for jj in range(j, width):
-                vec[jj] -= q * row[jj]
-        else:
-            x, y, g = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            for jj in range(j, width):
-                r, v = row[jj], vec[jj]
-                row[jj] = x * r + y * v
-                vec[jj] = ag * v - bg * r
-        j += 1
-    return None
-
-
 def hnf_int(rows: Iterable[Sequence[int]], cols: int) -> list:
     """Canonical row Hermite normal form of the integer row span.
 
@@ -270,63 +238,46 @@ def hnf_int(rows: Iterable[Sequence[int]], cols: int) -> list:
     [0, pivot), zero rows are dropped, and rows are ordered by pivot column.
     The result depends only on the row span, not on row order.
     """
-    pivots: dict = {}
-    for r in rows:
-        _echelon_insert_partial(pivots, list(r), cols)
-    cols_sorted = sorted(pivots)
-    basis = [pivots[j] for j in cols_sorted]
-    # normalize pivot signs
-    for idx, j in enumerate(cols_sorted):
-        if basis[idx][j] < 0:
-            basis[idx] = [-x for x in basis[idx]]
-    # Reduce entries above each pivot, in ascending pivot order: rows below
-    # a pivot have zeros at all earlier pivot columns, so later reductions
-    # cannot disturb columns already reduced.
-    for idx in range(len(basis)):
-        j = cols_sorted[idx]
-        p = basis[idx][j]
-        for up in range(idx):
-            q = basis[up][j] // p
-            if q:
-                basis[up] = [x - q * y for x, y in zip(basis[up], basis[idx])]
-    return basis
+    return [list(row) for row in ZLattice._from_ints(cols, 1, rows).rows]
 
 
 def kernel_int(rows: Sequence[Sequence[int]], cols: int) -> list:
     """Basis of {x integer row vector : x @ M == 0} for M with the given rows.
 
-    Returned as the canonical HNF basis of the kernel lattice in Z^len(rows).
+    Returned as the canonical HNF basis of the kernel lattice in Z^len(rows):
+    the rows of the HNF of [M | I] with a pivot right of M.
     """
-    m = len(rows)
-    pivots: dict = {}
-    kernel = []
-    for i, r in enumerate(rows):
-        aug = list(r) + [0] * m
-        aug[cols + i] = 1
-        out = _echelon_insert_partial(pivots, aug, cols)
-        if out is None:
-            kernel.append(aug[cols:])
-    return hnf_int(kernel, m)
+    aug = [{**{j: x for j, x in enumerate(r) if x}, cols + i: 1}
+           for i, r in enumerate(rows)]
+    return [list(row) for row in
+            ZLattice._from_sparse(len(rows), 1, aug, cols).rows]
 
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> list:
-    """Invariant factors d1 | d2 | ... of an integer matrix (nonzero only).
+    """Invariant factors d1 | d2 | ... of an integer matrix (nonzero only)."""
+    return smith_of_hnf(ZLattice._from_ints(
+        len(rows[0]) if rows else 0, 1, rows).nonzeros)
 
-    Row Hermite forms of the matrix and of its transpose alternate until
-    every row has a single nonzero entry (Kannan-Bachem 1979).  The loop
-    ends: the leading pivot of each transposed form is the gcd of the
-    leading row, so it shrinks, or else that row and column clear and the
-    same holds in the trailing block.  Replacing each pair (d_i, d_j) of the
+
+def smith_of_hnf(nonzeros: Sequence) -> list:
+    """Invariant factors of the matrix with the canonical HNF rows
+    ``nonzeros``, sparse and in pivot order as a ZLattice stores them.
+
+    Hermite forms of the transpose and of the matrix alternate until every
+    row has one nonzero (Kannan-Bachem 1979).  The leading pivot of each
+    transposed form is the gcd of the leading row, so it shrinks, or that
+    row and column clear; this needs row t of one form to be column t of
+    the next, in pivot order.  Replacing each pair (d_i, d_j) of the
     diagonal by (gcd, lcm) then gives the divisibility chain.
     """
-    a = [list(r) for r in rows]
-    cols = len(a[0]) if a else 0
-    while True:
-        a = hnf_int(a, cols)
-        if all(len(row) - row.count(0) == 1 for row in a):
-            break
-        a, cols = list(zip(*a)), len(a)
-    d = [next(x for x in row if x) for row in a]
+    while any(len(nz) > 1 for nz in nonzeros):
+        columns: dict = {}
+        for t, nz in enumerate(nonzeros):
+            for j, x in nz:
+                columns.setdefault(j, {})[t] = x
+        nonzeros = ZLattice._from_sparse(
+            len(nonzeros), 1, [columns[j] for j in sorted(columns)]).nonzeros
+    d = [nz[0][1] for nz in nonzeros]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             g = gcd(d[i], d[j])
@@ -409,11 +360,27 @@ class ZLattice:
 
         ``den`` must be positive; it need not be the least denominator.
         """
-        basis = [[(j, x) for j, x in enumerate(row) if x]
-                 for row in hnf_int(rows, ambient_dim)]
-        g = gcd(den, *(x for nz in basis for _, x in nz))
+        return cls._from_sparse(ambient_dim, den, (
+            {j: x for j, x in enumerate(row) if x} for row in rows))
+
+    @classmethod
+    def _from_sparse(cls, ambient_dim: int, den: int, rows: Iterable[dict],
+                     left: int = 0) -> "ZLattice":
+        """The lattice over ``den`` of the rows of the HNF of the integer
+        ``{column: int}`` rows (consumed) with a pivot at column ``left`` or
+        right of it, shifted ``left`` columns to the left.
+
+        With ``left`` = 0 that is the Z-span of ``rows / den``.  For rows
+        [x M | x N], the kept rows span the x N with x M = 0: an echelon
+        combination with a zero left block uses no row pivoted in it.
+        """
+        h = SparseHNF(left + ambient_dim)
+        for w in rows:
+            h._insert(w)
+        kept = [nz for nz in sorted(h.nonzeros) if nz[0][0] >= left]
+        g = gcd(den, *(x for nz in kept for _, x in nz))
         return cls(ambient_dim, den // g, tuple(
-            tuple((j, x // g) for j, x in nz) for nz in basis))
+            tuple((j - left, x // g) for j, x in nz) for nz in kept))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "ZLattice":
@@ -453,12 +420,16 @@ class ZLattice:
                 for j in range(self.ambient_dim)]
 
     def scale(self, c) -> "ZLattice":
+        """c times the lattice.  For c = +-p / q the canonical rows of p R
+        are p times those of R, so only the common factor of the new
+        denominator and the entries is divided out."""
         c = Fraction(c)
         if c == 0:
             return ZLattice.zero(self.ambient_dim)
-        return ZLattice._from_ints(
-            self.ambient_dim, self.den * c.denominator,
-            [[c.numerator * x for x in row] for row in self.rows])
+        p, den = abs(c.numerator), self.den * c.denominator
+        g = gcd(den, *(p * x for nz in self.nonzeros for _, x in nz))
+        return ZLattice(self.ambient_dim, den // g, tuple(
+            tuple((j, p * x // g) for j, x in nz) for nz in self.nonzeros))
 
     def coordinates(self, vector: Sequence) -> list | None:
         """Integer coordinates of ``vector`` in the canonical basis, or None."""
@@ -524,7 +495,9 @@ class ZLattice:
 
 class SparseHNF:
     """A lattice rows / den in canonical form, grown in place one vector at
-    a time (Cohen 1993, section 2.4).
+    a time (Cohen 1993, section 2.4).  It is the one Hermite reduction of
+    the package: every canonical form is built by inserting rows into one,
+    here or in ZLattice._from_sparse.
 
     It holds the ``den``, ``nonzeros`` and ``row_of`` of the equal
     ``ZLattice``, but with rows in the order their pivots were made, and
@@ -551,21 +524,11 @@ class SparseHNF:
     def add(self, w: dict, den: int) -> bool:
         """Add ``w / den`` to the lattice; True if that changed it.
 
-        With g = gcd(den, *w), the new denominator is D = lcm(self.den,
-        den / g), and the rows are rescaled to it by f = D / self.den.  The
-        vector, over D, is reduced at its least live column j: without a
-        row there it becomes a new pivot row; a row whose pivot p divides
-        its entry x is subtracted; otherwise the row and the vector are
-        replaced by the _xgcd combination, with pivot gcd(p, x), and the
-        remainder, which goes on reducing.  A changed row or pivot can
-        leave entries at a pivot column c out of [0, p_c).  Such columns
-        are reduced in increasing order, and reducing a row at c changes it
-        only right of c.  The rows and D have no common factor: the rows
-        span f times the old rows and the vector, and gcd(D, f * old rows)
-        = f and gcd(D, vector) = D / (den / g) are coprime.
+        With g = gcd(den, *w), the rows are rescaled by f = D / self.den to
+        D = lcm(self.den, den / g), and w, over D, is inserted; a member
+        has f = 1.  The rows and D stay coprime, as gcd(D, f * old rows) =
+        f and gcd(D, vector) = D / (den / g) are coprime.
         """
-        if self.contains(w, den):
-            return False
         g = gcd(den, *w.values())
         wden = den // g
         den = lcm(self.den, wden)
@@ -574,8 +537,23 @@ class SparseHNF:
             self.nonzeros = [tuple((j, f * x) for j, x in nz)
                              for nz in self.nonzeros]
             self.den = den
-        v = {j: x // g * c for j, x in w.items() if x}
-        dirty: list = []  # a heap of the columns of changed rows
+        return self._insert({j: x // g * c for j, x in w.items()})
+
+    def _insert(self, v: dict) -> bool:
+        """Insert the integer vector ``v`` (a {column: int} map, consumed);
+        True if that changed the rows.
+
+        v is reduced at its least live column j.  A row whose pivot p
+        divides its entry x is subtracted; otherwise the row and v become
+        their _xgcd combination, with pivot gcd(p, x), and the remainder,
+        which goes on reducing.  A member reduces to nothing this way, as
+        in ZLattice.int_coordinates, and nothing is written.  At a column
+        without a row, v made positive there becomes a new pivot row.  A
+        new or combined row is reduced as it is written; once the pivots
+        are final, so are the rows with an entry at a new or smaller pivot.
+        """
+        new = ()
+        pivots = []  # the columns of new or smaller pivots
         while v:
             j = min(v)
             x = v.pop(j)
@@ -583,50 +561,67 @@ class SparseHNF:
                 continue
             t = self.row_of.get(j)
             if t is None:
-                v[j] = x
-                t = self.row_of[j] = len(self.nonzeros)
-                self.nonzeros.append(())
-                self._put(t, v if x > 0 else {i: -y for i, y in v.items()},
-                          dirty)
+                if x < 0:
+                    v = {i: -y for i, y in v.items()}
+                new = ((j, abs(x)),) + self._reduced(v)
                 break
-            row = dict(self.nonzeros[t])
-            p = row.pop(j)
+            nz = self.nonzeros[t]
+            p = nz[0][1]
             q, r = divmod(x, p)
             if r:
+                row = dict(nz[1:])
                 a, b, h = _xgcd(p, x)
                 cols = row.keys() | v.keys()
-                new = {i: a * row.get(i, 0) + b * v.get(i, 0) for i in cols}
-                new[j] = h
+                comb = {i: a * row.get(i, 0) + b * v.get(i, 0) for i in cols}
                 v = {i: p // h * v.get(i, 0) - x // h * row.get(i, 0)
                      for i in cols}
-                self._put(t, new, dirty)
+                self._put(t, ((j, h),) + self._reduced(comb))
+                pivots.append(j)
             else:
-                for i, y in row.items():
+                for i, y in nz[1:]:
                     v[i] = v.get(i, 0) - q * y
-        while dirty:  # a column seen twice has nothing left to reduce
-            j = heappop(dirty)
-            t = self.row_of.get(j)
-            if t is None:
-                continue
+        if new:
+            j = new[0][0]
+            t = self.row_of[j] = len(self.nonzeros)
+            self.nonzeros.append(())
+            self._put(t, new)
+            pivots.append(j)
+        if not pivots:
+            return False
+        stale = set()  # the rows with an entry at one of the pivots
+        for j in pivots:
+            stale.update(self.above.get(j, ()))
+        for t in stale:
             nz = self.nonzeros[t]
-            for s in tuple(self.above.get(j, ())):
-                row = dict(self.nonzeros[s])
-                q = row[j] // nz[0][1]
-                if q:
-                    for i, y in nz:
-                        row[i] = row.get(i, 0) - q * y
-                    self._put(s, row, dirty)
+            row = nz[:1] + self._reduced(dict(nz[1:]))
+            if row != nz:
+                self._put(t, row)
         self._lattice = None
         return True
 
-    def _put(self, t: int, row: dict, dirty: list) -> None:
-        """Make the {column: value} map ``row`` row t; mark its columns."""
+    def _reduced(self, v: dict) -> tuple:
+        """The nonzeros of ``v`` (consumed) in column order, with each entry
+        at a pivot reduced into [0, pivot) by subtracting that pivot's row,
+        least column first: that changes ``v`` only right of the pivot."""
+        out = []
+        while v:
+            j = min(v)
+            x = v.pop(j)
+            t = self.row_of.get(j)
+            if t is not None:
+                nz = self.nonzeros[t]
+                q, x = divmod(x, nz[0][1])
+                for i, y in nz[1:] if q else ():
+                    v[i] = v.get(i, 0) - q * y
+            if x:
+                out.append((j, x))
+        return tuple(out)
+
+    def _put(self, t: int, nz: tuple) -> None:
+        """Make the (column, value) nonzeros ``nz``, in column order, row t."""
         for j, _ in self.nonzeros[t][1:]:
             self.above[j].discard(t)
-        self.nonzeros[t] = nz = tuple(sorted(
-            (j, x) for j, x in row.items() if x))
-        for j, _ in nz:
-            heappush(dirty, j)
+        self.nonzeros[t] = nz
         for j, _ in nz[1:]:
             self.above.setdefault(j, set()).add(t)
 
@@ -647,33 +642,26 @@ def lattice_sum(a: ZLattice, b: ZLattice) -> ZLattice:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
     den = lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    return ZLattice._from_ints(
-        a.ambient_dim, den, [[x * fa for x in row] for row in a.rows]
-        + [[x * fb for x in row] for row in b.rows])
+    return ZLattice._from_sparse(a.ambient_dim, den, [
+        {j: den // lat.den * x for j, x in nz}
+        for lat in (a, b) for nz in lat.nonzeros])
 
 
 def lattice_intersect(a: ZLattice, b: ZLattice) -> ZLattice:
-    """Largest lattice contained in both operands."""
+    """Largest lattice contained in both operands.
+
+    It is read off the HNF of [u | u] for u in A and [w | 0] for w in B: a
+    combination x*A + y*B with zero left block has x*A = -y*B in both, and
+    every element of the intersection arises this way.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
     n = a.ambient_dim
     den = lcm(a.den, b.den)
-    # Augmented rows [u | u] for u in A and [w | 0] for w in B, echelonized
-    # with pivots on the left block only: a combination x*A + y*B with zero
-    # left block satisfies x*A = -y*B, so its right block x*A lies in the
-    # intersection, and every intersection element arises this way.
-    pivots: dict = {}
-    inter = []
-    for lat, keep in ((a, True), (b, False)):
-        f = den // lat.den
-        for row in lat.rows:
-            u = [x * f for x in row]
-            vec = u + (u if keep else [0] * n)
-            if _echelon_insert_partial(pivots, vec, n) is None \
-                    and any(vec[n:]):
-                inter.append(vec[n:])
-    return ZLattice._from_ints(n, den, inter)
+    fa, fb = den // a.den, den // b.den
+    return ZLattice._from_sparse(n, den, [
+        {k: fa * x for j, x in nz for k in (j, n + j)} for nz in a.nonzeros
+    ] + [{j: fb * x for j, x in nz} for nz in b.nonzeros], n)
 
 
 def quotient_invariants(a: ZLattice, b: ZLattice) -> list:

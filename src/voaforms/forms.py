@@ -37,7 +37,7 @@ from voaforms.exact import (
     lattice_sum,
     mat_mul,
     quotient_exponent,
-    smith_invariants,
+    smith_of_hnf,
 )
 from voaforms.latgroup import (
     Character,
@@ -150,7 +150,7 @@ class TruncatedForm:
 def _exponent(lat: ZLattice) -> int:
     """Least e with (e / den) Z^n in a full-rank M / den: M's largest
     Smith invariant, the exponent of Z^n / M."""
-    return smith_invariants(lat.rows)[-1]
+    return smith_of_hnf(lat.nonzeros)[-1]
 
 
 def negation_map(V: TruncatedVOA, degree: int) -> list:

@@ -21,8 +21,6 @@ from voaforms.exact import (
     apply_columns,
     as_integer,
     column_nonzeros,
-    hnf_int,
-    kernel_int,
     lattice_intersect,
     lattice_sum,
     mat_mul,
@@ -129,19 +127,22 @@ def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
     if lattice.rank == 0 or not matrices:
         return lattice
     n = lattice.ambient_dim
-    h = lattice.nonzeros
     # x = y*H/D lies in the sublattice iff y * (H*(g^T - s*I)) = 0 for all
-    # pairs; stack the constraint blocks horizontally.
-    stacked = [[] for _ in h]
-    for g, s in zip(matrices, signs):
-        cols = column_nonzeros([[x - s * (i == j) for j, x in enumerate(row)]
-                                for i, row in enumerate(g)])
-        for nz, out in zip(h, stacked):
-            out.extend(apply_columns(cols, nz, n))
-    ker = kernel_int(stacked, len(stacked[0]))
-    # row i of ker @ H is H^T @ ker_i, and column t of H^T is row t of H
-    return ZLattice._from_ints(n, lattice.den, [apply_columns(
-        h, [(t, c) for t, c in enumerate(k) if c], n) for k in ker])
+    # pairs, so D times it is spanned by the rows of the HNF of
+    # [H*(g^T - s*I) ... | H] with a pivot right of the constraint blocks.
+    blocks = [column_nonzeros([[x - s * (i == j) for j, x in enumerate(row)]
+                               for i, row in enumerate(g)])
+              for g, s in zip(matrices, signs)]
+    left = n * len(blocks)
+    rows = []
+    for nz in lattice.nonzeros:
+        w = {left + j: x for j, x in nz}
+        for b, cols in enumerate(blocks):
+            for i, x in enumerate(apply_columns(cols, nz, n)):
+                if x:
+                    w[b * n + i] = x
+        rows.append(w)
+    return ZLattice._from_sparse(n, lattice.den, rows, left)
 
 
 def eigenlattice(lattice: ZLattice, action: SignedAction,
@@ -248,7 +249,7 @@ def invariant_intersection(lattice: ZLattice, matrices: Iterable,
     mats = [_mat_tuple(m) for m in matrices]
     n = lattice.ambient_dim
     for m in mats:
-        if len(hnf_int(m, n)) < n:
+        if ZLattice._from_ints(n, 1, m).rank < n:
             raise ActionError("matrix is singular")
     group = close_matrix_group(mats, n, bound)
     inter = lattice

@@ -16,8 +16,10 @@ from voaforms.exact import (
     _gram_blocks,
     dual_lattice,
     hnf,
+    hnf_int,
     int_dual_lattice,
     int_gram,
+    kernel_int,
     lattice_intersect,
     lattice_sum,
     mat_mul,
@@ -26,9 +28,11 @@ from voaforms.exact import (
     quotient_index,
     quotient_invariants,
     smith_invariants,
+    smith_of_hnf,
 )
 from voaforms.voa import EvenLattice, TruncatedVOA
 
+import dense_hnf
 from oracles import (
     exponent_by_scan,
     gauss_solve_left,
@@ -50,9 +54,11 @@ class TestHnf:
         assert hnf(m) == m
 
     def test_index_two_sublattice(self):
-        m = QMatrix.from_rows([[2, 0], [0, 2], [1, 1]])
-        out = hnf(m)
+        rows = [[2, 0], [0, 2], [1, 1]]
+        out = hnf(QMatrix.from_rows(rows))
         assert out.row_list() == [[1, 1], [0, 2]]
+        assert hnf_int(rows, 2) == dense_hnf.hnf_int(rows, 2) \
+            == [[1, 1], [0, 2]]
 
     def test_rational_single_row(self):
         m = QMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
@@ -67,6 +73,8 @@ class TestHnf:
             shuffled = rows[:]
             rng.shuffle(shuffled)
             assert hnf(QMatrix.from_rows(shuffled)) == reference
+            assert hnf_int(shuffled, 3) == dense_hnf.hnf_int(rows, 3) \
+                == reference.row_list()
 
     def test_canonicalization_idempotent(self):
         a = lat([Fraction(1, 2), Fraction(3, 4)], [5, 7])
@@ -137,6 +145,30 @@ class TestQuotient:
                 continue
             m = rng.randint(1, 9)
             assert quotient_exponent(a, a.scale(m)) == m
+            assert quotient_exponent(a, a.scale(-m)) == m
+            assert quotient_exponent(a.scale(Fraction(1, m)), a) == m
+
+    def test_scale_is_the_span_of_scaled_rows(self):
+        """scale multiplies the stored rows and divides out a common
+        factor; the result is the canonical form of the scaled rows, for
+        negative, fractional and zero c."""
+        rng = random.Random(4)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            a = ZLattice._from_ints(n, rng.choice([1, 2, 3, 6]), [
+                [rng.randint(-6, 6) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))])
+            for c in (Fraction(-3), Fraction(2, 3), Fraction(-5, 4), 0,
+                      Fraction(1, 6), Fraction(4), Fraction(-1)):
+                got = a.scale(c)
+                want = ZLattice.from_rows(
+                    n, [[c * x for x in row] for row in a.basis_rows()])
+                assert (got.den, got.nonzeros, got.row_of) \
+                    == (want.den, want.nonzeros, want.row_of), (a, c)
+                assert got == want and hash(got) == hash(want)
+        assert ZLattice.standard(2).scale(0) == ZLattice.zero(2)
+        assert lat([2, 0], [0, 4]).scale(Fraction(-1, 2)) == lat([1, 0],
+                                                                  [0, 2])
 
     def test_not_sublattice(self):
         with pytest.raises(NotSublatticeError):
@@ -710,21 +742,26 @@ class TestSparseMembership:
 
 
 class TestSparseHNF:
-    """SparseHNF.add against _from_ints of every vector added so far."""
+    """SparseHNF.add against the dense reference on every vector added so
+    far."""
 
     @staticmethod
     def check(h, added):
         """h holds the canonical rows of the span of ``added``, a list of
         ({column: int}, den) pairs, and its index matches its rows.  Its
-        lattice, _from_ints and from_rows of that span agree in every
+        lattice has the (den, nonzeros) of the dense reference, and
+        _from_ints and from_rows of that span agree with it in every
         stored and derived field, and compare and hash equal."""
         n = h.ambient_dim
         den = lcm(1, *(d for _, d in added))
-        want = ZLattice._from_ints(n, den, [
-            [w.get(j, 0) * (den // d) for j in range(n)] for w, d in added])
+        dense_rows = [[w.get(j, 0) * (den // d) for j in range(n)]
+                      for w, d in added]
+        got = h.lattice()
+        assert (got.den, got.nonzeros) == dense_hnf.lattice(
+            n, den, dense_rows), added
+        want = ZLattice._from_ints(n, den, dense_rows)
         rational = ZLattice.from_rows(n, [
             [Fraction(w.get(j, 0), d) for j in range(n)] for w, d in added])
-        got = h.lattice()
         for other in (want, rational):
             assert other == got and hash(other) == hash(got), added
             assert (other.den, other.rows, other.nonzeros, other.row_of) \
@@ -741,8 +778,12 @@ class TestSparseHNF:
     def add(self, h, added, w, den):
         """Add w / den, check the result, and return whether h changed."""
         before = h.lattice()
+        rows, old_den = list(h.nonzeros), h.den
         changed = h.add(dict(w), den)
         assert changed == (before.int_coordinates(w, den) is None)
+        if not changed:  # a member leaves every row and den as they were
+            assert h.den == old_den and len(h.nonzeros) == len(rows)
+            assert all(a is b for a, b in zip(h.nonzeros, rows))
         added.append((w, den))
         want = self.check(h, added)
         assert (h.lattice() is before) == (not changed)
@@ -818,6 +859,81 @@ class TestSparseHNF:
             tracemalloc.stop()
         assert (lat.rank, lat.den, lat.nonzeros[0]) == (n, 1, ((0, 2), (1, 1)))
         assert peak <= 5 * 2**20, peak
+
+
+class TestDenseReference:
+    """hnf_int, kernel_int, smith_invariants, ZLattice._from_ints,
+    lattice_sum and lattice_intersect all run through SparseHNF; each gives
+    exactly what the dense elimination in dense_hnf gives."""
+
+    CASES = [
+        ([], 3),  # empty input
+        ([[0, 0, 0], [0, 0, 0]], 3),  # zero rows
+        ([[-3, 2], [-5, -7], [0, -4]], 2),  # negative entries
+        ([[4, 1], [6, 0]], 2),  # pivot 4 does not divide 6
+        ([[6, 1, 0], [10, 0, 1], [15, 2, 2]], 3),
+        # pivots in decreasing order: creation order is not pivot order
+        ([[0, 0, 0, 3], [0, 0, 2, 1], [0, 5, 1, 4], [7, 1, 3, 2]], 4),
+        ([[0, 0, 4, 6], [0, 6, 9, 1], [10, 4, 0, 3]], 4),
+    ]
+
+    @classmethod
+    def matrices(cls, seed, count):
+        """The hand cases, then seeded integer matrices: sparse, dense, and
+        echelon rows listed with their pivots decreasing."""
+        yield from cls.CASES
+        rng = random.Random(seed)
+        for i in range(count):
+            m, n = rng.randint(0, 6), rng.randint(1, 6)
+            zeros = rng.choice([0, 0.5, 0.8])
+            rows = [[0 if rng.random() < zeros else rng.randint(-9, 9)
+                     for _ in range(n)] for _ in range(m)]
+            if i % 3 == 0:
+                for r, row in enumerate(rows):
+                    row[:max(n - 1 - r, 0)] = [0] * max(n - 1 - r, 0)
+                    row[max(n - 1 - r, 0)] = rng.choice([-6, -4, 2, 3, 5])
+            yield rows, n
+
+    def test_hnf_kernel_smith(self):
+        seen = dict.fromkeys(["kernel", "full-rank", "invariant>1"], 0)
+        for rows, n in self.matrices(5, 300):
+            h = hnf_int(rows, n)
+            assert h == dense_hnf.hnf_int(rows, n), rows
+            k = kernel_int(rows, n)
+            assert k == dense_hnf.kernel_int(rows, n), rows
+            d = smith_invariants(rows)
+            assert d == dense_hnf.smith_invariants(rows), rows
+            transposed = [list(c) for c in zip(*rows)]
+            assert smith_invariants(transposed) == d, rows
+            lat = ZLattice._from_ints(n, 1, rows)
+            assert smith_of_hnf(lat.nonzeros) == d, rows
+            seen["kernel"] += bool(k)
+            seen["full-rank"] += len(h) == n
+            seen["invariant>1"] += any(x > 1 for x in d)
+        assert min(seen.values()) > 30, seen
+
+    def test_lattices(self):
+        rng = random.Random(6)
+        seen = dict.fromkeys(["proper-meet", "proper-sum", "den>1"], 0)
+        mats = list(self.matrices(7, 200))
+        for rows, n in mats:
+            den = rng.choice([1, 2, 3, 4, 6, 12])
+            a = ZLattice._from_ints(n, den, rows)
+            assert (a.den, a.nonzeros) == dense_hnf.lattice(n, den, rows)
+            other, m = rng.choice(mats)
+            if m != n:
+                continue
+            b = ZLattice._from_ints(n, rng.choice([1, 2, 5, 6]), other)
+            ref_a, ref_b = (a.den, a.nonzeros), (b.den, b.nonzeros)
+            s, i = lattice_sum(a, b), lattice_intersect(a, b)
+            assert (s.den, s.nonzeros) == dense_hnf.lattice_sum(
+                n, ref_a, ref_b), (rows, other)
+            assert (i.den, i.nonzeros) == dense_hnf.lattice_intersect(
+                n, ref_a, ref_b), (rows, other)
+            seen["proper-meet"] += i not in (a, b)
+            seen["proper-sum"] += s not in (a, b)
+            seen["den>1"] += s.den > 1
+        assert min(seen.values()) > 10, seen
 
 
 class TestZeroLattice:
