@@ -115,6 +115,11 @@ def _emit(payload: dict, fmt: str, output: str | None,
         sys.stdout.write(body)
 
 
+def _numeric_items(m: dict) -> list:
+    """The items of a map keyed by decimal strings, in numeric key order."""
+    return sorted(m.items(), key=lambda kv: int(kv[0]))
+
+
 def _render_matrix(rows) -> str:
     widths = [max(len(rows[i][j]) for i in range(len(rows)))
               for j in range(len(rows[0]))] if rows else []
@@ -144,6 +149,8 @@ def cmd_build(args) -> int:
                              iter_bound=args.iter_bound)
     except NotHomogeneousError as e:
         raise InputError(f"generators: {e}")
+    except fm.PreconditionError as e:  # a generator above --gen-degree
+        raise InputError(f"gen-degree: {e}")
     manifest = fm.build_manifest(J)
     manifest["seed"] = args.seed
     _emit(manifest, args.format, args.output, _render_manifest_text)
@@ -156,8 +163,7 @@ def _render_manifest_text(m: dict) -> str:
     for g in m["generators"]:
         lines.append(f"  {g}")
     lines.append("degrees:")
-    for d in sorted(m["degrees"], key=int):
-        info = m["degrees"][d]
+    for d, info in _numeric_items(m["degrees"]):
         lines.append(f"  {d}: rank {info['basis_rank']}, "
                      f"li={'yes' if info['li'] else 'no'}")
     if "denominator_trace" in m:
@@ -399,7 +405,7 @@ def cmd_rescale(args) -> int:
 def _render_rescale_text(p: dict) -> str:
     lines = [f"rescale ({p['scope']}): m1 = {p['m1']}, m2 = {p['m2']}, "
              f"m = {p['m']}"]
-    for d, info in sorted(p["certificate"]["degrees"].items(), key=lambda kv: int(kv[0])):
+    for d, info in _numeric_items(p["certificate"]["degrees"]):
         lines.append(f"  degree {d}: rank {info['basis_rank']}, "
                      f"li={'yes' if info['li'] else 'no'}")
     lines.append("overall: " +
@@ -430,13 +436,11 @@ def cmd_dual(args) -> int:
 
 def _render_dual_text(p: dict) -> str:
     lines = [f"dual family ({p['scope']})"]
-    for d in sorted(p["degrees"], key=int):
-        info = p["degrees"][d]
+    for d, info in _numeric_items(p["degrees"]):
         extra = " (span-relative)" if info["span_relative"] else ""
         lines.append(f"  degree {d}: rank {info['rank']}, "
                      f"denominator {info['denominator']}{extra}")
-    for n in sorted(p["stability"], key=int):
-        ok = p["stability"][n]
+    for n, ok in _numeric_items(p["stability"]):
         lines.append(f"  raising-stability order {n}: "
                      f"{'PASS' if ok else 'FAIL'}")
     return "\n".join(lines) + "\n"
@@ -546,8 +550,7 @@ def cmd_nli_transfer(args) -> int:
                      f"{p['m_first_into_second']} / "
                      f"{p['m_second_into_first']}\n" +
                      "".join(f"  degree {d}: {tuple(v)}\n"
-                             for d, v in sorted(p["per_degree"].items(),
-                                                key=lambda kv: int(kv[0])))))
+                             for d, v in _numeric_items(p["per_degree"]))))
     return EXIT_OK
 
 

@@ -8,8 +8,8 @@ form over a cleared common denominator, stored as sparse rows of (column,
 value) pairs, so lattice equality is a plain comparison of the stored data.
 Every Hermite form is built by one routine, the in-place insertion of
 ``SparseHNF``; dense rows are built only where a caller asks for them
-(``hnf_int``, ``kernel_int``) and for Gram matrices and linear solves, and
-an integer matrix meets a sparse row in ``apply_columns``.
+(``hnf_int``) and for Gram matrices and linear solves, and an integer
+matrix meets a sparse row in ``apply_columns``.
 
 Values are immutable, a SparseHNF apart; every other operation is a pure
 function of its inputs and may be evaluated concurrently without coordination.
@@ -239,18 +239,6 @@ def hnf_int(rows: Iterable[Sequence[int]], cols: int) -> list:
     The result depends only on the row span, not on row order.
     """
     return [list(row) for row in ZLattice._from_ints(cols, 1, rows).rows]
-
-
-def kernel_int(rows: Sequence[Sequence[int]], cols: int) -> list:
-    """Basis of {x integer row vector : x @ M == 0} for M with the given rows.
-
-    Returned as the canonical HNF basis of the kernel lattice in Z^len(rows):
-    the rows of the HNF of [M | I] with a pivot right of M.
-    """
-    aug = [{**{j: x for j, x in enumerate(r) if x}, cols + i: 1}
-           for i, r in enumerate(rows)]
-    return [list(row) for row in
-            ZLattice._from_sparse(len(rows), 1, aug, cols).rows]
 
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> list:
@@ -746,18 +734,18 @@ def dual_lattice(a: ZLattice, gram: QMatrix) -> ZLattice:
     if not gram.is_symmetric():
         raise ValueError("form is not symmetric")
     fden = lcm(1, *(x.denominator for x in gram.entries))
-    return int_dual_lattice(
-        a, [[int(x * fden) for x in row] for row in gram.row_list()], fden)
+    form = [[int(x * fden) for x in row] for row in gram.row_list()]
+    return int_dual_lattice(a, int_gram(a.rows, form), fden)
 
 
-def int_dual_lattice(a: ZLattice, form: Sequence[Sequence[int]],
+def int_dual_lattice(a: ZLattice, m: Sequence[Sequence[int]],
                      fden: int = 1) -> ZLattice:
-    """``dual_lattice`` for the form ``form / fden``, given by integer rows
-    that are not checked for shape or symmetry."""
+    """``dual_lattice`` for a form F / fden, given by the integer Gram
+    M = H F H^T of A's canonical rows H, which is not checked for shape or
+    symmetry."""
     if a.rank == 0:
         return a
     h = a.rows
-    m = int_gram(h, form)
     solved = []
     for block in _gram_blocks(m):
         try:

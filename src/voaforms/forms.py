@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from voaforms.dihedral import FiniteAlgebra, trace_form
@@ -109,7 +109,7 @@ class TruncatedForm:
         self.generators = tuple(generators)
         self.gen_degree = gen_degree
         self.saturation_trace = saturation_trace or []
-        self._gram_cache = {}
+        self._grams = {}
         self._duals = {}
 
     def lattice(self, degree: int) -> ZLattice:
@@ -428,7 +428,9 @@ class LICertificate:
                  first_failure: tuple | None) -> None:
         self.scope = f"degrees<={cutoff}"
         self.passed = passed
-        self.degrees = degrees       # d -> {"rank": r, "gram": [[Fraction]]}
+        # d -> {"rank": r, "gram": rows, "li": bool}: the Gram entries are
+        # ints when li holds and Fractions otherwise
+        self.degrees = degrees
         self.first_failure = first_failure  # (degree, i, j, value) or None
 
     def to_json(self) -> dict:
@@ -447,71 +449,70 @@ class LICertificate:
         return out
 
 
+def _gram(J: TruncatedForm, degree: int) -> tuple:
+    """(s, M, g): the Gram matrix M / s of the degree's lattice basis H / den
+    under the integer form matrix F, for M = H F H^T and s = den^2, and
+    g = gcd(s, *M).  Cached on J; every Gram below is read from it."""
+    hit = J._grams.get(degree)
+    if hit is None:
+        lat = J.lattice(degree)
+        s = lat.den * lat.den
+        m = int_gram(lat.rows, J.host.form_matrix(degree))
+        hit = J._grams[degree] = (s, m, gcd(s, *(gcd(*row) for row in m)))
+    return hit
+
+
 def form_gram(J: TruncatedForm, degree: int) -> list:
     """Gram matrix of the invariant form on the degree's lattice basis."""
-    hit = J._gram_cache.get(degree)
-    if hit is not None:
-        return hit
-    # With the basis H/den and the integer form matrix F, the Gram matrix
-    # is H F H^T / den^2.
-    lat = J.lattice(degree)
-    m = int_gram(lat.rows, J.host.form_matrix(degree))
-    scale = lat.den * lat.den
-    out = [[Fraction(x, scale) for x in row] for row in m]
-    J._gram_cache[degree] = out
-    return out
+    s, m, _ = _gram(J, degree)
+    return [[Fraction(x, s) for x in row] for row in m]
 
 
 def check_lattice_integral(J: TruncatedForm) -> LICertificate:
-    """PASS with per-degree Gram matrices, or FAIL with the first bad entry."""
+    """PASS with per-degree Gram matrices, or FAIL with the first bad entry.
+
+    A degree is integral when s divides every entry of M; its Gram is then
+    kept as the ints M / s, and otherwise as Fractions.
+    """
     degrees = {}
     failure = None
-    passed = True
-    for d in range(J.host.cutoff + 1):
-        if J.rank(d) == 0:
-            continue
-        gram = form_gram(J, d)
-        li = True
-        for i, row in enumerate(gram):
-            for j, val in enumerate(row):
-                if val.denominator != 1:
-                    li = False
-                    if failure is None:
-                        failure = (d, i, j, val)
-                    break
-            if not li:
-                break
+    for d in J.degrees():
+        s, m, g = _gram(J, d)
+        li = g == s
+        if li:
+            gram = [[x // s for x in row] for row in m]
+        else:
+            gram = form_gram(J, d)
+            if failure is None:
+                failure = next((d, i, j, gram[i][j])
+                               for i, row in enumerate(m)
+                               for j, x in enumerate(row) if x % s)
         degrees[d] = {"rank": J.rank(d), "gram": gram, "li": li}
-        passed = passed and li
-    return LICertificate(J.host.cutoff, passed, degrees, failure)
+    return LICertificate(J.host.cutoff, failure is None, degrees, failure)
 
 
 def minimal_integral_scale(J: TruncatedForm) -> int:
     """Least m > 0 with m*J lattice-integral below the cutoff.
 
     Scaling a set by m scales Gram entries by m^2, so this is the least m
-    with m^2 * entry integral for every stored Gram entry, that is the
-    least m whose square the lcm of the entry denominators divides.
+    whose square the lcm of the entry denominators, s / g per degree,
+    divides.  That m takes each prime of the lcm to half its exponent,
+    rounded up.  Trial division runs while p^3 <= r for the cofactor r;
+    past that r has at most two prime factors, each at least p, so it
+    contributes its square root if it is a square and r otherwise.
     """
-    den = 1
-    for d in range(J.host.cutoff + 1):
-        if J.rank(d) == 0:
-            continue
-        for row in form_gram(J, d):
-            for val in row:
-                den = lcm(den, val.denominator)
-    # the least m with den | m^2 takes each prime of den to half its
-    # exponent, rounded up
+    r = lcm(1, *(s // g for s, _, g in (_gram(J, d) for d in J.degrees())))
     m = 1
     p = 2
-    while p * p <= den:
+    while p * p * p <= r:
         e = 0
-        while den % p == 0:
-            den //= p
+        while r % p == 0:
+            r //= p
             e += 1
         m *= p ** ((e + 1) // 2)
         p += 1
-    return m * den
+    root = isqrt(r)
+    return m * (root if root * root == r else r)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +551,7 @@ def _degree_dual(J: TruncatedForm, d: int) -> ZLattice:
     hit = J._duals.get(d)
     if hit is None:
         try:
-            hit = int_dual_lattice(J.lattice(d), J.host.form_matrix(d))
+            hit = int_dual_lattice(J.lattice(d), _gram(J, d)[1])
         except DegenerateFormError:
             raise DegeneratePieceError(
                 f"invariant form degenerate on the degree-{d} piece")

@@ -448,6 +448,10 @@ MALFORMED = {
         "build", "--lattice", _lattice(t),
         "--generators", _write(t, "g.txt", "1 * e(1)\n1/0 * e(-1)\n"),
         "--max-degree", "2"], "generators: line 2"),
+    "build-generator-above-gen-degree": (lambda t: [
+        "build", "--lattice", _lattice(t),
+        "--generators", _write(t, "g.txt", "1 * h(1,-1) * e(1)\n"),
+        "--max-degree", "2", "--gen-degree", "1"], "gen-degree"),
     "build-generator-zero-exponent": (lambda t: [
         "build", "--lattice", _lattice(t),
         "--generators", _write(t, "g.txt", "1 * h(1,-1)^0 * e(0)\n"),
@@ -556,10 +560,12 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case, message", [
     ("tel-isometry-not-rows", "not a list of rows"),
-    ("tel-tail-signs-entry-number", "not a list")])
+    ("tel-tail-signs-entry-number", "not a list"),
+    ("build-generator-above-gen-degree",
+     "generator of degree 2 exceeds bound 1")])
 def test_malformed_action_entry_message(tmp_path, capsys, case, message):
-    """A bad action entry is named by its own field, in words, not by a
-    Python error about iterating an int."""
+    """A bad action entry or generator is named by its own field, in words,
+    not by a Python error about iterating an int or a traceback."""
     make_argv, field = MALFORMED[case]
     assert main(make_argv(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {field}: {message}\n"

@@ -19,7 +19,6 @@ from voaforms.exact import (
     hnf_int,
     int_dual_lattice,
     int_gram,
-    kernel_int,
     lattice_intersect,
     lattice_sum,
     mat_mul,
@@ -344,8 +343,9 @@ class TestDualAgainstDefinition:
     @pytest.mark.parametrize("gram, cutoff", [([[2]], 5),
                                               ([[2, 1], [1, 2]], 3)])
     def test_host_forms(self, gram, cutoff):
-        """int_dual_lattice takes the host's form unchecked: it must be
-        symmetric, and then agree with dual_lattice on the whole piece."""
+        """int_dual_lattice takes a Gram unchecked; the host's form is the
+        Gram of the whole piece, so it must be symmetric, and then the dual
+        agrees with dual_lattice's."""
         V = TruncatedVOA(EvenLattice(gram), cutoff)
         for d in range(cutoff + 1):
             f = V.form_matrix(d)
@@ -862,9 +862,10 @@ class TestSparseHNF:
 
 
 class TestDenseReference:
-    """hnf_int, kernel_int, smith_invariants, ZLattice._from_ints,
-    lattice_sum and lattice_intersect all run through SparseHNF; each gives
-    exactly what the dense elimination in dense_hnf gives."""
+    """hnf_int, kernels by ZLattice._from_sparse, smith_invariants,
+    ZLattice._from_ints, lattice_sum and lattice_intersect all run through
+    SparseHNF; each gives exactly what the dense elimination in dense_hnf
+    gives."""
 
     CASES = [
         ([], 3),  # empty input
@@ -899,7 +900,11 @@ class TestDenseReference:
         for rows, n in self.matrices(5, 300):
             h = hnf_int(rows, n)
             assert h == dense_hnf.hnf_int(rows, n), rows
-            k = kernel_int(rows, n)
+            # the kernel rows of M: the HNF of [M | I] right of M
+            aug = [{**{j: x for j, x in enumerate(r) if x}, n + i: 1}
+                   for i, r in enumerate(rows)]
+            k = [list(r) for r in
+                 ZLattice._from_sparse(len(rows), 1, aug, n).rows]
             assert k == dense_hnf.kernel_int(rows, n), rows
             d = smith_invariants(rows)
             assert d == dense_hnf.smith_invariants(rows), rows

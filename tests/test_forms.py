@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -431,6 +432,83 @@ class TestIntegralityCertificates:
             j4.with_scaled_degree(1, F(1, 2))) == 2
         assert fm.minimal_integral_scale(
             j4.with_scaled_degree(1, F(1, 3))) == 3
+
+    @pytest.mark.parametrize("q, cert_digest, manifest_digest", [
+        (2, "4d9acdc2ed484820", "eb37d5372d498f32"),
+        (3, "ff06972bbd05b9cf", "d66b063c9e745505"),
+    ])
+    def test_failing_certificate_unchanged(self, j4, q, cert_digest,
+                                           manifest_digest):
+        """JSON of a failing certificate, witness included, and of its
+        manifest, against digests taken from the Fraction Gram."""
+        K = j4.with_scaled_degree(1, F(1, q))
+        cert = fm.check_lattice_integral(K).to_json()
+        assert "witness" in cert
+        for data, digest in ((cert, cert_digest),
+                             (fm.build_manifest(K), manifest_digest)):
+            text = json.dumps(data)
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_one_int_gram_per_degree(self, j4, monkeypatch):
+        """The certificate, the minimal scale, form_gram and the duals
+        share one integer Gram per degree."""
+        import voaforms.exact as ex
+        J = TruncatedForm(j4.host, j4.lattices)
+        int_gram = ex.int_gram
+        calls = []
+
+        def counting(rows, form):
+            calls.append(len(form))
+            return int_gram(rows, form)
+        monkeypatch.setattr(fm, "int_gram", counting)
+        monkeypatch.setattr(ex, "int_gram", counting)
+        fm.check_lattice_integral(J)
+        fm.minimal_integral_scale(J)
+        for d in J.degrees():
+            fm.form_gram(J, d)
+        fm.dual_form(J)
+        assert len(calls) == len(J.degrees()), calls
+
+    def test_passing_check_builds_no_fraction(self, j4, monkeypatch):
+        J = TruncatedForm(j4.host, j4.lattices)
+        made = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(F, "__new__", staticmethod(counting))
+        cert = fm.check_lattice_integral(J)
+        monkeypatch.undo()
+        assert cert.passed
+        assert not made, made[:3]
+
+    def test_minimal_scale_large_prime(self):
+        """Trial division stops at the cube root of the cofactor, so a
+        prime or a product of two large primes is not divided out."""
+        V = TruncatedVOA(EvenLattice([[2]]), 2)
+        q = 1_000_000_007
+        K = fm.standard_form(V).with_scaled_degree(1, F(1, q))
+        assert fm.minimal_integral_scale(K) == q
+        n = 1_000_003 * 1_000_033
+        assert fm.minimal_integral_scale(self._pairing_over(V, n)) == n
+
+    def test_minimal_scale_brute_force(self):
+        V = TruncatedVOA(EvenLattice([[2]]), 2)
+        for n in range(1, 400):
+            K = self._pairing_over(V, n)
+            gram = fm.form_gram(K, 1)
+            least = next(m for m in range(1, n + 1) if all(
+                (m * m * x).denominator == 1 for row in gram for x in row))
+            assert fm.minimal_integral_scale(K) == least, n
+
+    @staticmethod
+    def _pairing_over(V, n):
+        """The degree-1 span of e(1) / n and e(-1) on A1, whose Gram has
+        the entry -1/n."""
+        rows = [[x / n for x in V.coords(V.parse_element("1 * e(1)"))[1]],
+                V.coords(V.parse_element("1 * e(-1)"))[1]]
+        return TruncatedForm(V, {1: ZLattice.from_rows(V.dim(1), rows)})
 
 
 class TestDualFamily:

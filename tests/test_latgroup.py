@@ -5,7 +5,6 @@ import pytest
 
 from voaforms.exact import (
     ZLattice,
-    kernel_int,
     lattice_intersect,
     mat_mul,
     quotient_exponent,
@@ -28,6 +27,7 @@ from voaforms.latgroup import (
     total_eigenlattice,
 )
 
+import dense_hnf
 from oracles import gauss_solve_left, member_by_solve
 
 SWAP = [[0, 1], [1, 0]]
@@ -345,7 +345,7 @@ class TestColumnNonzerosAgainstDense:
                 for row, out in zip(lat.rows, stacked):
                     img = _dense_apply(g, row)
                     out.extend(img[j] - s * row[j] for j in range(n))
-            ker = kernel_int(stacked, len(stacked[0]))
+            ker = dense_hnf.kernel_int(stacked, len(stacked[0]))
             want = ZLattice.from_rows(n, [[Fraction(x, lat.den) for x in r]
                                           for r in mat_mul(ker, lat.rows)])
             got = common_eigenlattice(lat, mats, signs)
