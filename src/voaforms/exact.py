@@ -7,9 +7,11 @@ integers.  The canonical lattice representation is a row-style Hermite normal
 form over a cleared common denominator, stored as sparse rows of (column,
 value) pairs, so lattice equality is a plain comparison of the stored data.
 Every Hermite form is built by one routine, the in-place insertion of
-``SparseHNF``; dense rows are built only where a caller asks for them
-(``hnf_int``) and for Gram matrices and linear solves, and an integer
-matrix meets a sparse row in ``apply_columns``.
+``SparseHNF``, which also owns the exponent test that accepts most vectors
+offered to a full-rank lattice without reducing them; dense rows are built
+only where a caller asks for them (``hnf_int``) and for Gram matrices and
+linear solves, and an integer matrix meets a sparse row in
+``apply_columns``.
 
 Values are immutable, a SparseHNF apart; every other operation is a pure
 function of its inputs and may be evaluated concurrently without coordination.
@@ -62,10 +64,9 @@ def as_integer(value, what: str) -> int:
     return n
 
 
-def format_rational(value: Fraction) -> str:
-    """Format a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    f = Fraction(value)
-    return str(f)
+def format_rational(value: Fraction | int) -> str:
+    """``"p/q"``, or ``"p"`` when the denominator is 1 (str of either)."""
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +493,49 @@ class SparseHNF:
     ``above`` maps a column to the rows with a nonzero there right of their
     pivot.  The lattice only grows, so a pivot once made stays, and so does
     its row number.
+
+    Most vectors offered to a full-rank lattice are accepted without
+    reducing them.  A full-rank L = M / den_L, with M in Z^n, contains
+    e * Z^n / den_L, where e is the exponent of Z^n / M (its largest Smith
+    invariant), so w / den lies in L whenever den * e divides den_L *
+    gcd(w).  ``exponent()`` gives the pair (den_L, e) that test uses, taken
+    when the lattice is first offered a vector at full rank and again
+    after each new snapshot, not on every change.  Lattices only grow, so
+    a pair from an earlier lattice stays sound; ``add`` and ``contains``
+    never decide membership differently for it, they only skip the
+    reduction.
     """
 
     def __init__(self, ambient_dim: int) -> None:
         self.ambient_dim, self.den, self._lattice = ambient_dim, 1, None
         self.row_of, self.nonzeros, self.above = {}, [], {}
+        self._pair = None
 
     def lattice(self) -> ZLattice:
-        """The lattice as a ZLattice, built once per change."""
+        """The lattice as a ZLattice, built once per change; a new one
+        renews the exponent pair when the test next needs it."""
         if self._lattice is None:  # rows in pivot order
             self._lattice = ZLattice(self.ambient_dim, self.den,
                                      tuple(sorted(self.nonzeros)))
+            self._pair = None
         return self._lattice
 
+    def exponent(self) -> tuple | None:
+        """The pair (den_L, e) of the exponent test, None below full rank."""
+        if self._pair is None and len(self.nonzeros) == self.ambient_dim:
+            self._pair = (self.den, smith_of_hnf(sorted(self.nonzeros))[-1])
+        return self._pair
+
+    def _known(self, w: dict, den: int) -> bool:
+        """Whether the exponent test puts w / den in the lattice."""
+        e = self._pair or self.exponent()
+        return e is not None and e[0] * gcd(*w.values()) % (den * e[1]) == 0
+
     def contains(self, w: dict, den: int) -> bool:
-        """Whether w / den is a member, by ZLattice.int_coordinates."""
-        return ZLattice.int_coordinates(self, w, den) is not None
+        """Whether w / den is a member, by the exponent test or else by
+        ZLattice.int_coordinates."""
+        return (self._known(w, den)
+                or ZLattice.int_coordinates(self, w, den) is not None)
 
     def add(self, w: dict, den: int) -> bool:
         """Add ``w / den`` to the lattice; True if that changed it.
@@ -517,6 +545,8 @@ class SparseHNF:
         has f = 1.  The rows and D stay coprime, as gcd(D, f * old rows) =
         f and gcd(D, vector) = D / (den / g) are coprime.
         """
+        if self._known(w, den):
+            return False
         g = gcd(den, *w.values())
         wden = den // g
         den = lcm(self.den, wden)

@@ -7,8 +7,9 @@ landing below the cutoff, certify lattice integrality degree by degree,
 compute dual families and their stability under the raising operators, run
 the two rescaling constructions that turn nearly-integral data into integral
 data, and intersect or decompose forms under finite automorphism groups.
-A lifted lattice isometry acts through one integer matrix per degree, built
-directly from its action on modes and tails.
+Saturation schedules row pairs, and each degree's live exact.SparseHNF
+decides membership.  A lifted lattice isometry acts on each degree through
+its column nonzeros, built once from its action on modes and tails.
 
 Every certificate produced here is truncation-scoped: it speaks about
 degrees up to the host's cutoff and says so explicitly in its ``scope``
@@ -29,7 +30,9 @@ from voaforms.exact import (
     QMatrix,
     SparseHNF,
     ZLattice,
+    apply_columns,
     as_integer,
+    column_nonzeros,
     format_rational,
     int_dual_lattice,
     int_gram,
@@ -37,13 +40,11 @@ from voaforms.exact import (
     lattice_sum,
     mat_mul,
     quotient_exponent,
-    smith_of_hnf,
 )
 from voaforms.latgroup import (
     Character,
     GroupClosureError,
     SignedAction,
-    apply_matrix,
     common_eigenlattice,
     direct_sum,
     invariant_intersection,
@@ -147,22 +148,6 @@ class TruncatedForm:
 # generation by saturation
 # ---------------------------------------------------------------------------
 
-def _exponent(lat: ZLattice) -> int:
-    """Least e with (e / den) Z^n in a full-rank M / den: M's largest
-    Smith invariant, the exponent of Z^n / M."""
-    return smith_of_hnf(lat.nonzeros)[-1]
-
-
-def negation_map(V: TruncatedVOA, degree: int) -> list:
-    """theta = negation_lift(V) on graded_basis(degree) as (index, sign)
-    per column: gamma_i(-n) goes to -gamma_i(-n) and e^alpha to e^-alpha,
-    its tail sign being +1 as eps(-alpha, -beta) = eps(alpha, beta)."""
-    index = V.basis_index(degree)
-    return [(index[FockMonomial(m.modes, tuple(-a for a in m.tail))],
-             -1 if len(m.modes) % 2 else 1)
-            for m in V.graded_basis(degree)]
-
-
 def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                   gen_degree: int | None = None,
                   iter_bound: int = 50) -> TruncatedForm:
@@ -255,25 +240,15 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     denominator trace (which is also the denominator-growth report for
     converged runs).  Rows are ints over their lattice's denominator
     throughout.  A live lattice is an exact.SparseHNF, which each vector
-    not yet in it changes in place.  As Hermite normal forms are unique,
-    its rows and denominator are those ZLattice gives for the span of the
-    vectors added, so each pass's snapshot (ZLattices) and the trace are
-    canonical.
-
-    Most products are accepted without reducing them.  A full-rank lattice
-    L = M / den_L, with M in Z^n, contains e * Z^n / den_L, where e is the
-    exponent of Z^n / M (its largest Smith invariant), so w / den lies in L
-    whenever den * e divides den_L * gcd(w).  A pair (den_L, e) is kept per
-    degree, computed when its lattice first has full rank and again from
-    each new full-rank snapshot, not on every change.  Lattices only
-    grow, so a pair from an earlier lattice of the degree stays sound; the
-    test never decides membership differently, and every lattice and trace
-    is what reducing each product gives.
+    not yet in it changes in place, and which accepts most products by its
+    exponent test without reducing them.  As Hermite normal forms are
+    unique, its rows and denominator are those ZLattice gives for the span
+    of the vectors added, so each pass's snapshot (ZLattices) and the
+    trace are canonical.
     """
     gens = [g for g in generators if not g.is_zero()]
-    for g in gens:
-        V.degree_of(g)  # raises NotHomogeneousError for mixed degrees
-    max_gen_degree = max((V.degree_of(g) for g in gens), default=0)
+    # degree_of raises NotHomogeneousError for mixed degrees
+    max_gen_degree = max(map(V.degree_of, gens), default=0)
     if gen_degree is None:
         gen_degree = max_gen_degree
     elif max_gen_degree > gen_degree:
@@ -283,40 +258,21 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         raise PreconditionError(
             f"gen_degree {gen_degree} exceeds cutoff {V.cutoff}")
 
-    live: dict = {}       # degree -> SparseHNF
-    exponents: dict = {}  # degree -> (den_L, e) of a full-rank lattice
-    signed: dict = {}     # degree -> negation_map
+    live = {d: SparseHNF(V.dim(d)) for d in range(V.cutoff + 1)}
+    neg = negation_lift(V)
 
     def negated(d: int, w: dict) -> dict:
-        tm = signed.get(d)
-        if tm is None:
-            tm = signed[d] = negation_map(V, d)
-        return {tm[i][0]: tm[i][1] * x for i, x in w.items()}
-
-    def known(d: int, den: int, w: dict) -> bool:
-        """Whether the exponent test puts w / den in the degree-d lattice,
-        for w a {index: int} map over the degree-d basis."""
-        e = exponents.get(d)
-        return bool(e) and e[0] * gcd(*w.values()) % (den * e[1]) == 0
-
-    def try_add(d: int, den: int, w: dict) -> bool:
-        """Add w / den; True if that changed the lattice."""
-        if known(d, den, w):
-            return False
-        lat = live.get(d) or SparseHNF(V.dim(d))
-        if not lat.add(w, den):
-            return False
-        live[d] = lat  # a degree gets a lattice on its first nonzero vector
-        if d not in exponents and len(lat.nonzeros) == lat.ambient_dim:
-            exponents[d] = (lat.den, _exponent(lat.lattice()))
-        return True
+        # theta has one nonzero per column, in distinct rows
+        cols = neg.columns(d)
+        return {cols[j][0][0]: cols[j][0][1] * x for j, x in w.items()}
 
     seeds = []
     for vec in [V.vacuum()] + gens:
         den, rows = V.int_rows(vec)
         [(d, row)] = rows.items()
-        seeds.append((d, den, {V.basis_index(d)[m]: x for m, x in row}))
-        try_add(*seeds[-1])
+        w = {V.basis_index(d)[m]: x for m, x in row}
+        live[d].add(w, den)
+        seeds.append((d, den, w))
     pure = all(len({m.tail for m in g.terms}) == 1 for g in gens)
     theta = pure and all(live[d].contains(negated(d, w), den)
                          for d, den, w in seeds)
@@ -338,21 +294,14 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         basis = V.graded_basis(d)
         row = [(basis[j], x) for j, x in w.items() if x]
         den *= V.product_den
-        for k, acc in _products_all_k(V, row, vac).items():
-            t = d - k - 1
-            lat = live.get(t) or SparseHNF(V.dim(t))
-            if not (known(t, den, acc) or lat.contains(acc, den)):
-                return False
-        return True
+        return all(live[d - k - 1].contains(acc, den)
+                   for k, acc in _products_all_k(V, row, vac).items())
 
     zero = (0,) * V.lattice.rank
     trace = []
     prev: dict = {}
     for _ in range(iter_bound):
-        start = {d: lat.lattice() for d, lat in live.items()}
-        for d, lat in start.items():
-            if lat.rank == lat.ambient_dim and lat is not prev.get(d):
-                exponents[d] = (lat.den, _exponent(lat))
+        start = {d: lat.lattice() for d, lat in live.items() if lat.nonzeros}
         blocks: dict = {}  # key -> (degree, tail, rows, fresh flags)
         for d, lat in start.items():
             basis = V.graded_basis(d)
@@ -404,11 +353,11 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                     for v in vs:
                         for k, acc in _products_all_k(V, u, v).items():
                             d = du + dv - k - 1
-                            if try_add(d, den, acc):
+                            if live[d].add(acc, den):
                                 added.append((d, den, acc))
                                 if theta:
-                                    try_add(d, den, negated(d, acc))
-        trace.append({d: live[d].den for d in sorted(live)})
+                                    live[d].add(negated(d, acc), den)
+        trace.append({d: lat.den for d, lat in live.items() if lat.nonzeros})
         if not added:
             return TruncatedForm(V, start, [V.vacuum()] + gens,
                                  gen_degree, trace)
@@ -794,7 +743,7 @@ class VOAAutomorphism:
         self.host = V
         self.isometry = S
         self.basis_signs = self.checked_signs(n, basis_signs)
-        self._mats = {}
+        self._cols = {}
         # delta[i][j] = eps(e_i, e_j) eps(S e_i, S e_j), S e_i column i of S
         unit = [[int(a == i) for a in range(n)] for i in range(n)]
         cols = tuple(zip(*S))
@@ -833,33 +782,46 @@ class VOAAutomorphism:
         V = self.host
         out: dict = {}
         for d, comp in V.homogeneous_components(v).items():
-            img = apply_matrix(self.matrix(d), V.coords(comp)[1])
+            _, row = V.coords(comp)
+            img = apply_columns(self.columns(d), enumerate(row), len(row))
             out.update(V.vector_from_coords(d, img).terms)
         return GradedVector(out, v.cutoff)
 
-    def matrix(self, degree: int) -> tuple:
-        """Induced integer matrix on graded_basis(degree) (column action):
-        each gamma_i(-m) goes to sum_a S[a][i] gamma_a(-m), and e^alpha to
-        tail_sign(alpha) e^(S alpha) (Frenkel-Lepowsky-Meurman 1988)."""
-        hit = self._mats.get(degree)
+    def columns(self, degree: int) -> tuple:
+        """The induced action on graded_basis(degree), as the (row, entry)
+        nonzeros of each column in row order: each gamma_i(-m) goes to
+        sum_a S[a][i] gamma_a(-m), and e^alpha to tail_sign(alpha)
+        e^(S alpha) (Frenkel-Lepowsky-Meurman 1988)."""
+        hit = self._cols.get(degree)
         if hit is not None:
             return hit
         V = self.host
-        S = self.isometry
+        n = len(self.isometry)
+        scols = column_nonzeros(self.isometry)
         idx = V.basis_index(degree)
-        mat = [[0] * len(idx) for _ in idx]
-        for j, mono in enumerate(V.graded_basis(degree)):
-            tail = tuple(apply_matrix(S, mono.tail))
+        cols = []
+        for mono in V.graded_basis(degree):
+            tail = tuple(apply_columns(scols, enumerate(mono.tail), n))
             spread = [((), self.tail_sign(mono.tail))]
             for m_, i_ in mono.modes:
-                spread = [(modes + ((m_, a),), c * S[a][i_])
-                          for modes, c in spread
-                          for a in range(len(S)) if S[a][i_]]
+                spread = [(modes + ((m_, a),), c * x)
+                          for modes, c in spread for a, x in scols[i_]]
+            col: dict = {}  # distinct mode orders can give one monomial
             for modes, c in spread:
-                mat[idx[FockMonomial(tuple(sorted(modes)), tail)]][j] += c
-        mat = tuple(map(tuple, mat))
-        self._mats[degree] = mat
-        return mat
+                i = idx[FockMonomial(tuple(sorted(modes)), tail)]
+                col[i] = col.get(i, 0) + c
+            cols.append(tuple(sorted((i, c) for i, c in col.items() if c)))
+        self._cols[degree] = cols = tuple(cols)
+        return cols
+
+    def matrix(self, degree: int) -> tuple:
+        """The integer matrix of columns(degree) (column action)."""
+        cols = self.columns(degree)
+        mat = [[0] * len(cols) for _ in cols]
+        for j, col in enumerate(cols):
+            for i, c in col:
+                mat[i][j] = c
+        return tuple(map(tuple, mat))
 
     def compose(self, other: "VOAAutomorphism") -> "VOAAutomorphism":
         """self after other."""
@@ -1122,19 +1084,30 @@ def form_from_manifest(data: dict, iter_bound: int = 50):
     V = TruncatedVOA(lattice, as_integer(data["cutoff"], "cutoff"))
     gens = manifest_generators(V, data)
     gen_degree = data.get("gen_degree")
-    J = generate_form(V, gens,
-                      gen_degree=None if gen_degree is None
-                      else as_integer(gen_degree, "gen_degree"),
-                      iter_bound=iter_bound)
+    try:
+        J = generate_form(V, gens,
+                          gen_degree=None if gen_degree is None
+                          else as_integer(gen_degree, "gen_degree"),
+                          iter_bound=iter_bound)
+    except PreconditionError as e:  # the only ones test gen_degree
+        raise PreconditionError(f"gen_degree: {e}") from None
     return V, J
 
 
 def manifest_generators(V: TruncatedVOA, data: dict) -> list:
-    """The manifest's list of generator literals, parsed on V."""
+    """The manifest's list of generator literals, parsed on V; each must
+    be homogeneous."""
     gens = data["generators"]
     if not isinstance(gens, list):
         raise ValueError("generators: not a list")
-    return [V.parse_element(s) for s in gens]
+    try:
+        out = [V.parse_element(s) for s in gens]
+        for g in out:
+            if not g.is_zero():
+                V.degree_of(g)
+    except ValueError as e:  # a parse or degree error, of its own type
+        raise type(e)(f"generators: {e}") from None
+    return out
 
 
 def _span_coords(lat: ZLattice, w: dict, den: int) -> list:

@@ -215,12 +215,11 @@ def image_lattice(matrix: Sequence[Sequence], lattice: ZLattice) -> ZLattice:
         [apply_columns(cols, nz, len(matrix)) for nz in lattice.nonzeros])
 
 
-def close_matrix_group(mats: Iterable, dim: int, bound: int = 1024) -> list:
-    """All products of the given matrices, identity included.
+def close_matrix_group(gens: Sequence, dim: int, bound: int = 1024) -> list:
+    """All products of the given int row-tuple matrices, identity included.
 
     Raises GroupClosureError if more than ``bound`` distinct elements appear.
     """
-    gens = [_mat_tuple(m) for m in mats]
     ident = _mat_identity(dim)
     group = {ident}
     frontier = [ident]

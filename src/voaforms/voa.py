@@ -124,7 +124,7 @@ class GradedVector:
 class EvenLattice:
     """Positive definite even lattice given by its integer Gram matrix."""
 
-    __slots__ = ("rank", "gram", "_sq", "_shorts")
+    __slots__ = ("rank", "gram", "_sq")
 
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
         try:
@@ -144,7 +144,6 @@ class EvenLattice:
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_sq", self._completed_squares(g, n))
-        object.__setattr__(self, "_shorts", {})
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("EvenLattice is immutable")
@@ -180,9 +179,6 @@ class EvenLattice:
         """All lattice vectors of norm <= max_norm, sorted by (norm, coords)."""
         if max_norm < 0:
             return []
-        hit = self._shorts.get(max_norm)
-        if hit is not None:
-            return hit
         n = self.rank
         q = self._sq
         found = []
@@ -212,7 +208,6 @@ class EvenLattice:
 
         rec(n - 1, Fraction(max_norm), [])
         found.sort(key=lambda v: (self.norm(v), v))
-        self._shorts[max_norm] = found
         return found
 
     def to_json(self) -> dict:

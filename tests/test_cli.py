@@ -308,6 +308,7 @@ GOLDEN_TRACE = json.loads(
     (GOLDEN / "build.json").read_text())["denominator_trace"]
 BAD_LITERAL = ["1 * e(0)", "1 * e(("]
 ZERO_DENOMINATOR = ["1 * e(0)", "1/0 * e(1)"]
+MIXED_DEGREES = ["1 * e(0)", "1 * e(1) + 1 * h(1,-1) * e(1)"]
 NOT_UTF8 = b"\xff\xfe{}"
 # json.loads raises ValueError on the first and RecursionError on the second
 LONG_INTEGER = '{"gram": [[' + "2" * 5000 + ']]}'
@@ -465,6 +466,22 @@ MALFORMED = {
     "nli-other-zero-denominator": (lambda t: [
         "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
         "--other", _manifest(t, generators=ZERO_DENOMINATOR)], "other"),
+    "verify-gen-degree-below-generators": (lambda t: [
+        "verify", "--manifest", _manifest(t, gen_degree=-1)],
+        "manifest: gen_degree"),
+    "dual-generator-mixed-degrees": (lambda t: [
+        "dual", "--manifest", _manifest(t, generators=MIXED_DEGREES)],
+        "manifest: generators"),
+    "rescale-generator-not-text": (lambda t: [
+        "rescale", "--manifest", _manifest(t, generators=[1])],
+        "manifest: generators"),
+    "nli-other-generator-mixed-degrees": (lambda t: [
+        "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
+        "--other", _manifest(t, generators=MIXED_DEGREES)],
+        "other: generators"),
+    "nli-other-generator-not-text": (lambda t: [
+        "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
+        "--other", _manifest(t, generators=[1])], "other: generators"),
     "build-gram-fraction": (lambda t: [
         "build", "--lattice", _write(t, "l.json", '{"gram": [[2.5]]}'),
         "--max-degree", "2"], "lattice: gram"),
@@ -562,10 +579,17 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
     ("tel-isometry-not-rows", "not a list of rows"),
     ("tel-tail-signs-entry-number", "not a list"),
     ("build-generator-above-gen-degree",
-     "generator of degree 2 exceeds bound 1")])
+     "generator of degree 2 exceeds bound 1"),
+    ("verify-gen-degree-below-generators",
+     "generator of degree 1 exceeds bound -1"),
+    ("dual-generator-mixed-degrees", "degrees present: [1, 2]"),
+    ("rescale-generator-not-text", "element literal 1 is not text"),
+    ("nli-other-generator-mixed-degrees", "degrees present: [1, 2]"),
+    ("nli-other-generator-not-text", "element literal 1 is not text")])
 def test_malformed_action_entry_message(tmp_path, capsys, case, message):
-    """A bad action entry or generator is named by its own field, in words,
-    not by a Python error about iterating an int or a traceback."""
+    """A bad action entry, generator or gen_degree is named by its own
+    field, in words, not by a Python error about iterating an int or a
+    traceback."""
     make_argv, field = MALFORMED[case]
     assert main(make_argv(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {field}: {message}\n"

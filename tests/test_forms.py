@@ -6,7 +6,13 @@ from math import factorial
 
 import pytest
 
-from voaforms.exact import ZLattice, lattice_sum, quotient_exponent
+from voaforms.exact import (
+    SparseHNF,
+    ZLattice,
+    column_nonzeros,
+    lattice_sum,
+    quotient_exponent,
+)
 from voaforms.latgroup import Character, common_eigenlattice
 import voaforms.forms as fm
 from voaforms.forms import (
@@ -21,6 +27,7 @@ from voaforms.forms import (
 )
 from voaforms.voa import (
     EvenLattice,
+    FockMonomial,
     NotHomogeneousError,
     TruncatedVOA,
 )
@@ -205,18 +212,31 @@ def _full_rank_lattices(seed, count):
 
 
 STANDARD_A2 = ["1 * e(1,0)", "1 * e(-1,0)", "1 * e(0,1)", "1 * e(0,-1)"]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+STANDARD_D4 = [f"1 * e({','.join(str(s * (i == j)) for j in range(4))})"
+               for i in range(4) for s in (1, -1)]
 
 
 class TestExponentFastPath:
-    """generate_form accepts w / den into a full-rank lattice M / den_L
-    without reducing it when den * e divides den_L * gcd(w), for
-    e = forms._exponent(L).  That is sound when (e / den_L) Z^n lies in
+    """SparseHNF accepts w / den into a full-rank lattice M / den_L without
+    reducing it when den * e divides den_L * gcd(w), for the pair (den_L,
+    e) = SparseHNF.exponent().  That is sound when (e / den_L) Z^n lies in
     the lattice, and accepts the most products when e is least."""
+
+    @staticmethod
+    def live(lat):
+        """A SparseHNF holding lat, its rows added one by one."""
+        h = SparseHNF(lat.ambient_dim)
+        for nz in lat.nonzeros:
+            h.add(dict(nz), lat.den)
+        return h
 
     def test_scaled_cube_is_inside(self):
         rng = random.Random(5)
         lats = _full_rank_lattices(16, 40)
-        exps = [fm._exponent(lat) for lat in lats]
+        pairs = [self.live(lat).exponent() for lat in lats]
+        assert [den for den, _ in pairs] == [lat.den for lat in lats]
+        exps = [e for _, e in pairs]
         assert any(e != lat.den for lat, e in zip(lats, exps))
         assert any(lat.den % e for lat, e in zip(lats, exps))
         for lat, e in zip(lats, exps):
@@ -232,12 +252,32 @@ class TestExponentFastPath:
 
     def test_exponent_is_least(self):
         for lat in _full_rank_lattices(16, 40):
-            e = fm._exponent(lat)
+            _, e = self.live(lat).exponent()
             primes = [p for p in range(2, e + 1)
                       if e % p == 0 and all(p % q for q in range(2, p))]
             for p in primes:
                 assert any(lat.int_coordinates({j: e // p}, lat.den) is None
                            for j in range(lat.ambient_dim)), (lat, e, p)
+
+    def test_accepts_without_reducing(self, monkeypatch):
+        """The pair exists from full rank on; add and contains then accept
+        what the test covers with no reduction, a change keeps the pair,
+        and a new snapshot renews it."""
+        h = SparseHNF(2)
+        assert h.add({0: 2}, 3) and h.exponent() is None
+        assert h.add({0: 1, 1: 4}, 3) and h.exponent() == (3, 8)
+        insert, coords = SparseHNF._insert, ZLattice.int_coordinates
+        calls = []
+        monkeypatch.setattr(SparseHNF, "_insert",
+                            lambda *a: calls.append(a) or insert(*a))
+        monkeypatch.setattr(ZLattice, "int_coordinates",
+                            lambda *a: calls.append(a) or coords(*a))
+        assert not h.add({0: 8, 1: -16}, 3) and h.contains({1: 16}, 6)
+        assert calls == []
+        assert not h.contains({1: 1}, 3) and len(calls) == 1
+        assert h.add({1: 1}, 3) and h.exponent() == (3, 8)
+        h.lattice()
+        assert h.exponent() == (3, 1)
 
     @pytest.mark.parametrize("gram, cutoff, generators, iter_bound, digest", [
         # the lopsided form of the invariant-intersection benchmark
@@ -274,6 +314,8 @@ class TestExponentFastPath:
          "0195ab8e862aef69"),
         ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 2,
          ["1 * e(-1,0,0)", "3 * e(1,1,0)"], 50, "b7dce37326816226"),
+        # rank 4, where the exponent test accepts the most products
+        (D4, 3, STANDARD_D4, 50, "448a7162f5aeece8"),
     ])
     def test_saturations_unchanged(self, gram, cutoff, generators,
                                    iter_bound, digest):
@@ -379,13 +421,18 @@ class TestNegationOrbits:
         ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3),
     ])
     def test_signed_map_is_the_lift(self, gram, cutoff):
+        """theta's columns, which saturation reads, map gamma_i(-n) to
+        -gamma_i(-n) and e^alpha to e^-alpha, its tail sign being +1 as
+        eps(-alpha, -beta) = eps(alpha, beta)."""
         V = TruncatedVOA(EvenLattice(gram), cutoff)
         theta = fm.negation_lift(V)
         for d in range(cutoff + 1):
-            mat = [[0] * V.dim(d) for _ in range(V.dim(d))]
-            for j, (i, s) in enumerate(fm.negation_map(V, d)):
-                mat[i][j] = s
-            assert tuple(map(tuple, mat)) == theta.matrix(d), d
+            index = V.basis_index(d)
+            want = tuple(
+                ((index[FockMonomial(m.modes, tuple(-a for a in m.tail))],
+                  -1 if len(m.modes) % 2 else 1),)
+                for m in V.graded_basis(d))
+            assert theta.columns(d) == want, d
 
     @pytest.mark.parametrize("gram, cutoff, generators", [
         ([[2, 1], [1, 2]], 3, STANDARD_A2),
@@ -750,24 +797,40 @@ class TestAutomorphisms:
                 rhs = V.vertex_product(a.apply(u), k, a.apply(w))
                 assert lhs == rhs
 
+    A1 = TruncatedVOA(EvenLattice([[2]]), 6)
+    A2 = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 4)
+    A3 = TruncatedVOA(EvenLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), 3)
+    SWAP = [[0, 1], [1, 0]]
+    LIFTS = [(A1, [[-1]], None), (A1, [[1]], [-1]),
+             (A2, SWAP, None), (A2, [[-1, -1], [1, 0]], None),
+             (A2, [[-1, 0], [0, -1]], [1, -1]), (A2, SWAP, [-1, 1]),
+             (A3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], None),
+             (A3, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], [1, -1, 1])]
+
     def test_matrices_pinned(self):
         """The degree matrices of eight lifts, against a digest taken when
         each column was the image of one basis monomial under the lift."""
-        a1 = TruncatedVOA(EvenLattice([[2]]), 6)
-        a2 = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 4)
-        a3 = TruncatedVOA(EvenLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
-                          3)
-        swap, neg = [[0, 1], [1, 0]], [[-1, 0], [0, -1]]
-        lifts = [(a1, [[-1]], None), (a1, [[1]], [-1]),
-                 (a2, swap, None), (a2, [[-1, -1], [1, 0]], None),
-                 (a2, neg, [1, -1]), (a2, swap, [-1, 1]),
-                 (a3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], None),
-                 (a3, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], [1, -1, 1])]
         text = "".join(repr(VOAAutomorphism(V, S, signs).matrix(d))
-                       for V, S, signs in lifts
+                       for V, S, signs in self.LIFTS
                        for d in range(V.cutoff + 1))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
             "38ca85d0b5e8c61f"
+
+    def test_columns_are_the_matrix_nonzeros(self):
+        """columns(d) holds the zero-free column nonzeros of matrix(d), and
+        theta one nonzero per column, in distinct rows: saturation maps a
+        sparse vector through theta entry by entry."""
+        for V, S, signs in self.LIFTS:
+            a = VOAAutomorphism(V, S, signs)
+            for d in range(V.cutoff + 1):
+                assert list(map(list, a.columns(d))) == \
+                    column_nonzeros(a.matrix(d)), (S, signs, d)
+        for V in (self.A1, self.A2, self.A3):
+            theta = fm.negation_lift(V)
+            for d in range(V.cutoff + 1):
+                cols = theta.columns(d)
+                assert all(len(col) == 1 for col in cols)
+                assert sorted(i for (i, _), in cols) == list(range(V.dim(d)))
 
     def test_preserves_standard_form(self, j4, theta, tau):
         assert theta.preserves_form(j4)
