@@ -535,8 +535,7 @@ def cmd_nli_transfer(args) -> int:
         if man_a["lattice"] != man_b["lattice"] or \
                 man_a["cutoff"] != man_b["cutoff"]:
             raise InputError("other: host lattice or cutoff differs")
-        gens_b = fm.manifest_generators(V, man_b)
-        K = fm.generate_form(V, gens_b, iter_bound=args.iter_bound)
+        _, K = fm.form_from_manifest(man_b, args.iter_bound, host=V)
     try:
         mjk, mkj, per = fm.mutual_scale_report(J, K)
     except fm.RankMismatchError as e:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
@@ -45,6 +46,7 @@ from voaforms.latgroup import (
     Character,
     GroupClosureError,
     SignedAction,
+    close_matrix_group,
     common_eigenlattice,
     direct_sum,
     invariant_intersection,
@@ -182,59 +184,60 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
     degree at least |gamma + delta|^2 / 2, so a pair of blocks for which
     that is above the cutoff has no product below it and is skipped.
 
-    Negation orbits.  theta = negation_lift(V) maps each basis monomial to
-    +-1 times a basis monomial, swaps the blocks (d, gamma) and
-    (d, -gamma), and satisfies theta(x_k y) = (theta x)_k (theta y).  It
-    is used when every generator has one tail and theta(g) lies in S_0 for
-    every generator g; otherwise theta is the identity below.  Whenever w
-    changes a lattice, theta w is added too, so every live lattice is
-    theta-stable (S_0 is: theta vac = vac).  An ordered block pair
-    (B, C) is canonical when (key B, key C) >= (key theta B, key theta C);
-    each theta-orbit of block pairs has one canonical pair, and only
-    canonical pairs are multiplied.  That loses nothing: S_t is
-    theta-stable and charge-pure, so its rows of theta B span theta of
-    the span of its rows of B, and the products of the pair (theta B,
-    theta C) span theta of those of (B, C), which the pass adds with
-    their theta-images.  So each pass ends on the same lattices as if it
-    multiplied every block pair, and S_(t+1) contains every product of two
-    rows of S_t as above.
+    Orbits.  G is the group _saturation_lifts gives: lifts of signed
+    permutations of the basis, each mapping a basis monomial to +-1 times
+    a basis monomial and the block (d, gamma) to (d, g gamma), with
+    g(x_k y) = (g x)_k (g y) and g vac = vac, such that S_0 is G-stable;
+    G is {1} unless every generator has one tail.  Whenever w changes a
+    lattice, g w is added for every g in G, so every live lattice is
+    G-stable.  An ordered block pair (B, C) represents its orbit {(g B,
+    g C)} when (key B, key C) is the largest (key g B, key g C), and only
+    representatives are multiplied.  That loses nothing: S_t is G-stable
+    and charge-pure, so its rows of g B span g of the span of its rows of
+    B, and the products of the pair (g B, g C) span g of those of (B, C),
+    which the pass adds with their images.  So each pass ends on the same
+    lattices as if it multiplied every block pair, and S_(t+1) contains
+    every product of two rows of S_t as above.
 
-    A pass multiplies its canonical pairs in two phases.  Phase 1 takes
-    the pairs of blocks with key B > key C and, inside one block, the row
-    pairs (u, v) with u at or after v; phase 2 takes the rest.  Let A be
-    the products that changed a lattice in phase 1 (not their
-    theta-images) and L the live lattices after it, so L = S + Z A + Z
-    theta A for S = S_t.  Phase 2 runs only if some a in A has a
-    derivative a_(-i-1) vac = L(-1)^i a / i!, with deg a + i within the
-    cutoff, outside L; one product a x vac gives them all.  Otherwise
-    every phase-2 product lies in L already, so the pass ends as it would
-    with both phases; if phase 1 changes nothing, A is empty, S is closed
-    under all products, and the pass is the last.
+    A pass multiplies its representatives in two phases.  Let f(B) be the
+    largest key in B's orbit.  Phase 1 takes the pairs with f(B) > f(C);
+    for B and C in one orbit, the pairs whose orbit holds (C, B) too, and
+    otherwise the pair of (B, C) and (C, B) whose orbit has the larger
+    representative; and inside a diagonal pair (B, B), the row pairs (u,
+    v) with u at or after v.  Phase 2 takes the rest (_pair_phase).  The
+    phase depends only on the orbit.  Let A be the products that changed
+    a lattice in phase 1 (not their images) and L the live lattices after
+    it, so L = S + sum_g Z g A for S = S_t.  Phase 2 runs only if some a
+    in A has a derivative a_(-i-1) vac = L(-1)^i a / i!, with deg a + i
+    within the cutoff, outside L; one product a x vac gives them all.
+    Otherwise every phase-2 product lies in L already, so the pass ends
+    as it would with both phases; if phase 1 changes nothing, A is empty,
+    S is closed under all products, and the pass is the last.
 
-    By the argument above L contains the products of every phase-1 pair
-    of rows of S.  (1) Let key B > key C.  If {B, C} is not {D, theta D},
-    the key order agrees with theta on it, so (B, C) or (theta B, theta
-    C) is canonical and in phase 1; if C = theta B, (B, C) is canonical.
-    By theta-stability, S_B x S_C lies in L either way, S_B the part of S
-    of block B; that includes C = the degree-0 block of vac / m, whose
-    key is the least.  (2) A phase-2 pair (u, v) is a pair of rows of one
-    block with u before v, or of blocks with key B < key C; either way
-    the products of (v, u) lie in L, by phase 1 or (1).  Skew symmetry
-    Y(u,z)v = e^(zL(-1)) Y(v,-z)u (Frenkel-Huang-Lepowsky 1993) reads
+    (1) By G-stability, L contains S_B x S_C, S_B the part of S of block
+    B, for every block pair (B, C) of phase 1, representative or not, and
+    the products of the row pairs that phase 1 takes from a diagonal
+    representative.  That includes every (B, C) with C the degree-0
+    block of vac / m, whose f is the least.  (2) A phase-2 pair (u, v) is
+    a pair of rows of one block with u before v, of blocks with f(B) <
+    f(C), or of one orbit whose reverse (C, B) has the larger orbit
+    representative; in each case (v, u) is a phase-1 pair, so its
+    products lie in L by (1).  Skew symmetry Y(u,z)v = e^(zL(-1))
+    Y(v,-z)u (Frenkel-Huang-Lepowsky 1993) reads
 
         u_k v = sum_(i>=0) (-1)^(k+i+1) (v_(k+i) u)_(-i-1) vac.
 
-    Each w = v_(k+i) u lies in L, so w = s + sum n_a a + sum n'_a theta a
-    over a in A of degree deg w, with s in S and integers n_a, n'_a.
-    Then s_(-i-1) vac lies in L: s is an integer combination of rows, (1)
-    puts each row of positive degree times vac / m in L, and vac = m (vac
-    / m) (when s has degree 0, s_(-i-1) vac is s or 0).  Each a_(-i-1)
-    vac lies in L by the test, as deg a + i = deg(u_k v), and so does
-    (theta a)_(-i-1) vac = theta(a_(-i-1) vac), L being theta-stable and
-    theta vac = vac.  So u_k v lies in L, and by theta so do the products
-    of the theta-image of the pair.  No vector here exceeds the cutoff:
-    v_(k+i) u has degree deg(u_k v) - i, and its (-i-1)-product with vac
-    raises that by i, so the identity holds in the truncated VOA.
+    Each w = v_(k+i) u lies in L, so w = s + sum n_(a,g) g a over a in A
+    of degree deg w and g in G, with s in S and integers n_(a,g).  Then
+    s_(-i-1) vac lies in L: s is an integer combination of rows, (1) puts
+    each row of positive degree times vac / m in L, and vac = m (vac / m)
+    (when s has degree 0, s_(-i-1) vac is s or 0).  Each a_(-i-1) vac
+    lies in L by the test, as deg a + i = deg(u_k v), and so does (g
+    a)_(-i-1) vac = g(a_(-i-1) vac), L being G-stable and g vac = vac.
+    So u_k v lies in L, and by G so do the products of the images of the
+    pair.  No vector here exceeds the cutoff: v_(k+i) u has degree
+    deg(u_k v) - i, and its (-i-1)-product with vac raises that by i, so
+    the identity holds in the truncated VOA.
 
     A failure to stabilize raises SaturationError carrying the per-pass
     denominator trace (which is also the denominator-growth report for
@@ -259,11 +262,10 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
             f"gen_degree {gen_degree} exceeds cutoff {V.cutoff}")
 
     live = {d: SparseHNF(V.dim(d)) for d in range(V.cutoff + 1)}
-    neg = negation_lift(V)
 
-    def negated(d: int, w: dict) -> dict:
-        # theta has one nonzero per column, in distinct rows
-        cols = neg.columns(d)
+    def image(g: VOAAutomorphism, d: int, w: dict) -> dict:
+        # g has one nonzero per column, in distinct rows
+        cols = g.columns(d)
         return {cols[j][0][0]: cols[j][0][1] * x for j, x in w.items()}
 
     seeds = []
@@ -274,16 +276,30 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         live[d].add(w, den)
         seeds.append((d, den, w))
     pure = all(len({m.tail for m in g.terms}) == 1 for g in gens)
-    theta = pure and all(live[d].contains(negated(d, w), den)
-                         for d, den, w in seeds)
+    lifts = _saturation_lifts(V, lambda g: all(
+        live[d].contains(image(g, d, w), den) for d, den, w in seeds)
+    ) if pure else []
+    n = V.lattice.rank
+    acts = [column_nonzeros(g.isometry) for g in lifts]
 
-    def key(d: int, tail: tuple) -> tuple:
+    def tail_key(tail: tuple) -> tuple:
         r = max(tail, tuple(-a for a in tail))
-        return d, r, tail == r
+        return r, tail == r
+
+    @cache
+    def orbit(tail: tuple) -> tuple:
+        """The tail keys of g tail, for g = 1 and then each lift."""
+        return (tail_key(tail),) + tuple(
+            tail_key(tuple(apply_columns(s, enumerate(tail), n)))
+            for s in acts)
 
     @cache  # one verdict per pair of tails for the whole saturation
-    def within(tu: tuple, tv: tuple) -> bool:
-        return V.lattice.norm([a + b for a, b in zip(tu, tv)]) <= 2 * V.cutoff
+    def phase(tu: tuple, tv: tuple):
+        """_pair_phase for blocks of tails tu, tv, or None when no
+        product of the pair lies within the cutoff."""
+        if V.lattice.norm([a + b for a, b in zip(tu, tv)]) > 2 * V.cutoff:
+            return None
+        return _pair_phase(orbit(tu), orbit(tv))
 
     vac = [(V.vacuum_monomial(), 1)]
 
@@ -297,7 +313,7 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         return all(live[d - k - 1].contains(acc, den)
                    for k, acc in _products_all_k(V, row, vac).items())
 
-    zero = (0,) * V.lattice.rank
+    zero = (0,) * n
     trace = []
     prev: dict = {}
     for _ in range(iter_bound):
@@ -309,28 +325,28 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
             for nz in lat.nonzeros:
                 row = [(basis[j], x) for j, x in nz]
                 tail = row[0][0].tail if pure else zero
-                b = blocks.setdefault(key(d, tail), (d, tail, [], []))
+                b = blocks.setdefault((d,) + tail_key(tail),
+                                      (d, tail, [], []))
                 b[2].append(row)
                 b[3].append(old is None
                             or old.int_coordinates(dict(nz), lat.den) is None)
         order = sorted(blocks.items())
-        mirror = {kb: key(d, tuple(-a for a in t)) if theta else kb
-                  for kb, (d, t, _, _) in order}
         new = {kb: [v for v, f in zip(vs, fs) if f]
                for kb, (_, _, vs, fs) in order}
-        phases = ([], [])  # canonical block pairs of phases 1 and 2
+        phases = ([], [])  # representative block pairs of phases 1 and 2
         added = []  # A: the products that changed a lattice so far
         for ku, (du, tu, _, _) in order:
             if du == 0:
                 continue  # vacuum as left factor only reproduces the input
             for kv, (dv, tv, _, _) in order:
-                if (ku, kv) < (mirror[ku], mirror[kv]):
-                    continue  # the theta-image of a canonical pair
-                if not within(tu, tv):
-                    continue  # no product of the pair within the cutoff
-                if ku >= kv:
+                p = phase(tu, tv)
+                if p is None:
+                    continue
+                if du != dv:
+                    p = 1 if du > dv else 2
+                if p != 2:
                     phases[0].append((ku, kv))
-                if ku <= kv:  # a diagonal pair is split between the phases
+                if p != 1:  # a diagonal pair is split between the phases
                     phases[1].append((ku, kv))
         for phase1, pairs in zip((True, False), phases):
             if not phase1 and all(map(derivatives_in, added)):
@@ -355,8 +371,8 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
                             d = du + dv - k - 1
                             if live[d].add(acc, den):
                                 added.append((d, den, acc))
-                                if theta:
-                                    live[d].add(negated(d, acc), den)
+                                for g in lifts:
+                                    live[d].add(image(g, d, acc), den)
         trace.append({d: lat.den for d, lat in live.items() if lat.nonzeros})
         if not added:
             return TruncatedForm(V, start, [V.vacuum()] + gens,
@@ -364,6 +380,23 @@ def generate_form(V: TruncatedVOA, generators: Iterable[GradedVector],
         prev = start
     raise SaturationError(
         f"saturation did not stabilize within {iter_bound} passes", trace)
+
+
+def _pair_phase(ou: tuple, ov: tuple):
+    """Where generate_form multiplies a block pair (B, C) of one degree,
+    given the keys of g B and of g C for g = 1 and then each other
+    element of G: None when (B, C) is not its orbit's representative,
+    otherwise 1 or 2 for its phase, or 0 for B = C, split between them."""
+    pairs = list(zip(ou, ov))
+    if max(pairs) != pairs[0]:
+        return None  # the image of a representative
+    if max(ou) != max(ov):
+        return 1 if max(ou) > max(ov) else 2
+    if ou == ov:
+        return 0
+    if pairs[0][::-1] in pairs:  # (C, B) lies in the orbit of (B, C)
+        return 1
+    return 1 if pairs[0] > max(zip(ov, ou)) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +875,7 @@ class VOAAutomorphism:
         return hash(self.key())
 
     def preserves_form(self, J: TruncatedForm) -> bool:
-        return all(preserves(J.lattice(d), [self.matrix(d)])
+        return all(preserves(J.lattice(d), [self.columns(d)])
                    for d in J.degrees())
 
 
@@ -851,6 +884,64 @@ def negation_lift(V: TruncatedVOA) -> VOAAutomorphism:
     n = V.lattice.rank
     return VOAAutomorphism(V, [[-int(i == j) for j in range(n)]
                                for i in range(n)])
+
+
+def diagram_lifts(V: TruncatedVOA) -> list:
+    """The lifts, with trivial basis signs, of the permutations of the
+    basis other than the identity that preserve the Gram matrix (for a
+    Cartan matrix, its diagram automorphisms).
+
+    A backtracking search maps basis vectors 0, 1, ... in turn and keeps
+    a partial map only while it preserves the Gram entries among the
+    vectors mapped so far, so it never lists all n! permutations.  It
+    raises GroupClosureError once it finds more than 1024, the bound of
+    latgroup.close_matrix_group.
+    """
+    bound = 1024
+    g = V.lattice.gram
+    n = len(g)
+
+    def extend(image: tuple):
+        i = len(image)
+        if i == n:
+            yield image
+            return
+        for j in range(n):
+            if j not in image and g[j][j] == g[i][i] and all(
+                    g[image[k]][j] == g[k][i] for k in range(i)):
+                yield from extend(image + (j,))
+
+    perms = list(islice(extend(()), bound + 1))
+    if len(perms) > bound:
+        raise GroupClosureError(
+            f"more than {bound} permutations preserve the Gram matrix")
+    return [VOAAutomorphism(V, [[int(a == p[i]) for i in range(n)]
+                                for a in range(n)])
+            for p in perms[1:]]  # the search finds the identity first
+
+
+def _saturation_lifts(V: TruncatedVOA, stable) -> list:
+    """The elements other than 1 of G = <theta, diagram_lifts(V)> for
+    which stable(g) holds; G is {1, theta} when it has more than 1024
+    elements.
+
+    G is the group of signed permutations +-P that preserve the Gram
+    matrix, each lifted with trivial basis signs.  Those lifts compose
+    to the lift of the product: tail_sign is +1 on each +-e_i, as
+    eps(e_i, e_i) = 1.  For stable(g) = "g maps every seed into S_0" the
+    elements kept, with 1, are the stabilizer of S_0, a subgroup: g of
+    finite order with g S_0 in S_0 has g S_0 = S_0.
+    """
+    n = V.lattice.rank
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    minus = tuple(tuple(-x for x in row) for row in one)
+    try:
+        mats = close_matrix_group(
+            [minus] + [g.isometry for g in diagram_lifts(V)], n)
+    except GroupClosureError:
+        mats = [minus]
+    lifts = (VOAAutomorphism(V, m) for m in mats if m != one)
+    return [g for g in lifts if stable(g)]
 
 
 def parity_sign_map(V: TruncatedVOA, index: int) -> VOAAutomorphism:
@@ -1078,10 +1169,14 @@ def build_manifest(J: TruncatedForm,
     return out
 
 
-def form_from_manifest(data: dict, iter_bound: int = 50):
-    """Rebuild (host, form) from a manifest's lattice/cutoff/generators."""
-    lattice = EvenLattice.from_json(data["lattice"])
-    V = TruncatedVOA(lattice, as_integer(data["cutoff"], "cutoff"))
+def form_from_manifest(data: dict, iter_bound: int = 50,
+                       host: TruncatedVOA | None = None):
+    """Rebuild (host, form) from a manifest's lattice/cutoff/generators,
+    on ``host`` when given (the caller checks it is the manifest's)."""
+    V = host
+    if V is None:
+        V = TruncatedVOA(EvenLattice.from_json(data["lattice"]),
+                         as_integer(data["cutoff"], "cutoff"))
     gens = manifest_generators(V, data)
     gen_degree = data.get("gen_degree")
     try:

@@ -55,13 +55,14 @@ def apply_matrix(m: Sequence[Sequence], vector: Sequence) -> list:
                          [(j, x) for j, x in enumerate(vector) if x], len(m))
 
 
-def preserves(lattice: ZLattice, matrices: Iterable) -> bool:
-    """Whether each integer matrix maps the lattice into itself."""
+def preserves(lattice: ZLattice, columns: Iterable) -> bool:
+    """Whether each integer matrix, given by the (row, entry) nonzeros of
+    its columns (exact.column_nonzeros), maps the lattice into itself."""
     n = lattice.ambient_dim
     return all(
         lattice.int_coordinates(dict(enumerate(apply_columns(cols, nz, n))),
                                 lattice.den) is not None
-        for cols in map(column_nonzeros, matrices) for nz in lattice.nonzeros)
+        for cols in columns for nz in lattice.nonzeros)
 
 
 class SignedAction:
@@ -150,7 +151,7 @@ def eigenlattice(lattice: ZLattice, action: SignedAction,
     """Sublattice on which every generator acts by the character's sign."""
     if len(char.signs) != action.rank:
         raise ValueError("character length != action rank")
-    if not preserves(lattice, action.generators):
+    if not preserves(lattice, map(column_nonzeros, action.generators)):
         raise PreservationError("action does not preserve the lattice")
     return common_eigenlattice(lattice, action.generators, char.signs)
 
@@ -167,7 +168,7 @@ def direct_sum(parts: Sequence[ZLattice]) -> ZLattice:
 
 def total_eigenlattice(lattice: ZLattice, action: SignedAction) -> ZLattice:
     """Internal direct sum of all 2^r eigenlattices."""
-    if not preserves(lattice, action.generators):
+    if not preserves(lattice, map(column_nonzeros, action.generators)):
         raise PreservationError("action does not preserve the lattice")
     return direct_sum([common_eigenlattice(lattice, action.generators, ch.signs)
                        for ch in Character.all_characters(action.rank)])
@@ -255,6 +256,6 @@ def invariant_intersection(lattice: ZLattice, matrices: Iterable,
     for g in group:
         inter = lattice_intersect(inter, image_lattice(g, lattice))
     e = quotient_exponent(lattice, inter)
-    if not preserves(inter, mats):  # pragma: no cover
+    if not preserves(inter, map(column_nonzeros, mats)):  # pragma: no cover
         raise ActionError("intersection is not invariant")
     return inter, e

@@ -515,6 +515,9 @@ MALFORMED = {
     "nli-other-generators-string": (lambda t: [
         "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
         "--other", _manifest(t, generators="1 * e(1)")], "other: generators"),
+    "nli-other-gen-degree-below-generators": (lambda t: [
+        "nli-transfer", "--manifest", str(GOLDEN / "build.json"),
+        "--other", _manifest(t, gen_degree=-1)], "other: gen_degree"),
     "verify-gen-degree-fraction": (lambda t: [
         "verify", "--manifest", _manifest(t, gen_degree=1.5)],
         "manifest: gen_degree"),
@@ -581,6 +584,8 @@ def test_malformed_input_names_field(tmp_path, capsys, case):
     ("build-generator-above-gen-degree",
      "generator of degree 2 exceeds bound 1"),
     ("verify-gen-degree-below-generators",
+     "generator of degree 1 exceeds bound -1"),
+    ("nli-other-gen-degree-below-generators",
      "generator of degree 1 exceeds bound -1"),
     ("dual-generator-mixed-degrees", "degrees present: [1, 2]"),
     ("rescale-generator-not-text", "element literal 1 is not text"),

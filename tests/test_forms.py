@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction as F
 from math import factorial
 
@@ -13,7 +14,11 @@ from voaforms.exact import (
     lattice_sum,
     quotient_exponent,
 )
-from voaforms.latgroup import Character, common_eigenlattice
+from voaforms.latgroup import (
+    Character,
+    GroupClosureError,
+    common_eigenlattice,
+)
 import voaforms.forms as fm
 from voaforms.forms import (
     ConclusionError,
@@ -212,6 +217,8 @@ def _full_rank_lattices(seed, count):
 
 
 STANDARD_A2 = ["1 * e(1,0)", "1 * e(-1,0)", "1 * e(0,1)", "1 * e(0,-1)"]
+# not swap-stable, so saturation keeps theta alone
+LOPSIDED_A2 = ["1 * e(1,0)", "1 * e(-1,0)", "2 * e(0,1)", "2 * e(0,-1)"]
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 STANDARD_D4 = [f"1 * e({','.join(str(s * (i == j)) for j in range(4))})"
                for i in range(4) for s in (1, -1)]
@@ -382,12 +389,15 @@ class TestPhaseOneStop:
         derivative test.  standard_form on A2 at cutoff 3 multiplies 5,600
         when its last pass takes both phases, 3,440 when phase 1 ends it,
         1,615 when it also takes one block pair per negation orbit and
-        skips the pairs whose charge lies above the cutoff, and 1,379 when
-        phase 2 also waits on the derivative test.  A loop that always
+        skips the pairs whose charge lies above the cutoff, 1,379 when
+        phase 2 also waits on the derivative test, and 950 when it takes
+        one block pair per orbit of G = {+-1, +-swap}; on D4 at cutoff 3,
+        G of order 12 takes it from 108,978 to 35,321.  A loop that always
         skips phase 2 makes 280 instead of 298 on the first input, and
         one that leaves the in-block pairs (u, v) with u before v out of
         phase 2 makes 207 instead of 209 on the last, with the same
-        lattices."""
+        lattices; the four inputs on A1 or with a generator of two tails
+        use G = {1, theta} or {1}."""
         calls = [0]
         products_all_k = fm._products_all_k
 
@@ -399,7 +409,9 @@ class TestPhaseOneStop:
         for gram, cutoff, generators, want in [
                 ([[2]], 5, ["1 * e(1) + 1 * e(-1)"], 298),
                 ([[2]], 5, ["1 * e(1)", "1 * e(-1)"], 796),
-                ([[2, 1], [1, 2]], 3, STANDARD_A2, 1379),
+                ([[2, 1], [1, 2]], 3, STANDARD_A2, 950),
+                (D4, 3, STANDARD_D4, 35321),
+                ([[2, 1], [1, 2]], 3, LOPSIDED_A2, 1379),
                 ([[2]], 4, ["1 * e(1)", "1 * h(1,-1) * e(-1)"], 499),
                 ([[2, 0], [0, 2]], 3,
                  ["1 * e(1,0) + 1 * e(-1,0)", "1 * e(0,1) + 1 * e(0,-1)"],
@@ -449,6 +461,131 @@ class TestNegationOrbits:
                  for d in J.degrees() for nz in J.lattice(d).nonzeros]
         one_tail = all(len({m.tail for m in g.terms}) == 1 for g in gens)
         assert (max(tails) == 1) == one_tail
+
+
+# the E8 Dynkin diagram, in Bourbaki's labels less one
+E8_EDGES = {(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)}
+E8 = [[2 if i == j else -int((min(i, j), max(i, j)) in E8_EDGES)
+       for j in range(8)] for i in range(8)]
+
+
+class TestDiagramOrbits:
+    """Saturation multiplies one block pair per orbit of G, the lifts of
+    the signed permutations of the basis that preserve the Gram matrix
+    and map every generator into S_0."""
+
+    @staticmethod
+    def perms(gram):
+        V = TruncatedVOA(EvenLattice(gram), 1)
+        return sorted(tuple(row.index(1) for row in zip(*g.isometry))
+                      for g in fm.diagram_lifts(V))
+
+    def test_diagram_automorphisms(self):
+        assert self.perms([[2, 1], [1, 2]]) == [(1, 0)]
+        assert self.perms([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == \
+            [(2, 1, 0)]
+        assert self.perms(D4) == [(0, 1, 3, 2), (2, 1, 0, 3), (2, 1, 3, 0),
+                                  (3, 1, 0, 2), (3, 1, 2, 0)]
+        assert self.perms(E8) == []
+
+    @staticmethod
+    def scaled_identity(n):
+        return TruncatedVOA(EvenLattice([[2 * (i == j) for j in range(n)]
+                                         for i in range(n)]), 1)
+
+    def test_search_stops_at_the_bound(self):
+        """2 I_8 has 8! Gram-preserving permutations; the search stops
+        after 1,024 of them and saturation keeps theta alone."""
+        V = self.scaled_identity(8)
+        t = time.perf_counter()
+        with pytest.raises(GroupClosureError):
+            fm.diagram_lifts(V)
+        [theta] = fm._saturation_lifts(V, lambda g: True)
+        assert time.perf_counter() - t < 1.0
+        assert theta == fm.negation_lift(V)
+        V = self.scaled_identity(4)
+        assert len(fm.diagram_lifts(V)) == 23
+        # G = {+-P} has 48 elements
+        assert len(fm._saturation_lifts(V, lambda g: True)) == 47
+
+    def test_pair_phases(self):
+        """On 2 I_3, where G = +-S_3 has 3-cycles (keyed here by the tails
+        themselves), each orbit of tail pairs has one representative, the
+        reverse of a phase-2 representative has a phase-1 one, as the
+        phase proof needs, and a pair of one orbit that an element swaps
+        is in phase 1."""
+        V = self.scaled_identity(3)
+        acts = [g.isometry for g in fm._saturation_lifts(V, lambda g: True)]
+        assert len(acts) == 11
+        tails = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3)
+                 for c in range(-2, 3)]
+        orbit = {t: (t,) + tuple(tuple(sum(r[j] * t[j] for j in range(3))
+                                       for r in m) for m in acts)
+                 for t in tails}
+        rep, phase, orbits = {}, {}, set()
+        for tu, ou in orbit.items():
+            for tv, ov in orbit.items():
+                key = frozenset(zip(ou, ov))
+                orbits.add(key)
+                p = fm._pair_phase(ou, ov)
+                if p is not None:
+                    assert key not in rep, (tu, tv)
+                    rep[key], phase[tu, tv] = (tu, tv), p
+        assert len(rep) == len(orbits)
+        kinds = set()
+        for (tu, tv), p in phase.items():
+            ou, ov = orbit[tu], orbit[tv]
+            back = phase[rep[frozenset(zip(ov, ou))]]
+            assert (p == 0) == (tu == tv)
+            assert p != 2 or back == 1, (tu, tv)
+            if p and max(ou) == max(ov):  # two blocks of one orbit
+                swapped = (tv, tu) in zip(ou, ov)
+                assert p == 1 or not swapped, (tu, tv)
+                kinds.add((swapped, back))
+        assert kinds == {(True, 1), (False, 1), (False, 2)}
+
+    @staticmethod
+    def saturate(monkeypatch, gram, cutoff, generators):
+        """The form and the lifts saturation used."""
+        used = []
+        lifts = fm._saturation_lifts
+        monkeypatch.setattr(fm, "_saturation_lifts",
+                            lambda *a: used.append(lifts(*a)) or used[-1])
+        V = TruncatedVOA(EvenLattice(gram), cutoff)
+        J = fm.generate_form(V, [V.parse_element(s) for s in generators])
+        [group] = used
+        return J, group
+
+    def test_lopsided_keeps_theta(self, monkeypatch):
+        """Its product count, 1,379, is in test_product_work_bound."""
+        _, group = self.saturate(monkeypatch, [[2, 1], [1, 2]], 3,
+                                 LOPSIDED_A2)
+        assert [g.isometry for g in group] == [((-1, 0), (0, -1))]
+
+    def test_swap_without_theta(self, monkeypatch):
+        """3 e(-1,0) and 3 e(0,-1) are swapped, but theta maps them out of
+        S_0 (digest 0195ab8e862aef69 in TestExponentFastPath)."""
+        _, group = self.saturate(monkeypatch, [[2, 0], [0, 2]], 3,
+                                 ["3 * e(-1,0)", "3 * e(0,-1)"])
+        assert [g.isometry for g in group] == [((0, 1), (1, 0))]
+
+    @pytest.mark.parametrize("gram, cutoff, generators, order", [
+        ([[2, 1], [1, 2]], 4, STANDARD_A2, 4),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 3,
+         [f"1 * e({','.join(str(s * (i == j)) for j in range(3))})"
+          for i in range(3) for s in (1, -1)], 4),
+    ])
+    def test_group_preserves_the_form(self, monkeypatch, gram, cutoff,
+                                      generators, order):
+        """The lifts preserve the form and compose within G."""
+        J, group = self.saturate(monkeypatch, gram, cutoff, generators)
+        assert len(group) + 1 == order
+        assert all(g.preserves_form(J) for g in group)
+        n = len(gram)
+        one = VOAAutomorphism(J.host, [[int(i == j) for j in range(n)]
+                                       for i in range(n)])
+        keys = {g.key() for g in group + [one]}
+        assert {g.compose(h).key() for g in group for h in group} == keys
 
 
 class TestIntegralityCertificates:
@@ -773,6 +910,19 @@ class TestAutomorphisms:
             for m in v4.graded_basis(d):
                 img = theta.apply(v4.monomial_vector(m.modes, m.tail))
                 assert v4.degree_of(img) == d
+
+    def test_preserves_form_reads_columns(self, j4, theta, tau,
+                                          monkeypatch):
+        """preserves_form hands latgroup.preserves the column nonzeros
+        columns(d) holds, not the dense matrix(d)."""
+        def dense(*args):
+            raise AssertionError("matrix(d) built")
+        monkeypatch.setattr(VOAAutomorphism, "matrix", dense)
+        assert theta.preserves_form(j4) and tau.preserves_form(j4)
+        V = j4.host
+        row = V.coords(V.parse_element("1 * e(1)"))[1]
+        K = TruncatedForm(V, {1: ZLattice.from_rows(V.dim(1), [row])})
+        assert not theta.preserves_form(K)
 
     def test_involution_matrices(self, v4, theta, tau):
         from voaforms.latgroup import SignedAction
