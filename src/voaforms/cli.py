@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from voaforms import forms as fm
 from voaforms.dihedral import dihedral_2a_report
 from voaforms.exact import format_rational
-from voaforms.latgroup import ActionError
+from voaforms.latgroup import ActionError, close_group
 from voaforms.voa import (
     CutoffExceededError,
     ElementParseError,
@@ -478,19 +478,17 @@ def _load_automorphisms(path: str, V: TruncatedVOA) -> list:
             raise InputError(
                 f"action: isometry {i}: repeats isometry {auts.index(aut)}")
         auts.append(aut)
-    n = V.lattice.rank
-    one = fm.VOAAutomorphism(V, [[int(i == j) for j in range(n)]
-                                 for i in range(n)])
+    one = fm.identity_lift(V)
     if all(a.compose(a) == one and a.compose(b) == b.compose(a)
            for a in auts for b in auts):
         # commuting involutions: a lift inside the group of the earlier
-        # ones would double the characters without growing the group
-        group = {one}
+        # ones would double the characters without growing the group; the
+        # group of i of them has at most 2^i elements
         for i, aut in enumerate(auts):
-            if aut in group:
+            if aut in close_group(auts[:i], one, fm.VOAAutomorphism.compose,
+                                  1 << i):
                 raise InputError(f"action: isometry {i}: is a product of "
                                  "earlier isometries")
-            group |= {aut.compose(g) for g in group}
     return auts
 
 

@@ -280,6 +280,16 @@ def column_nonzeros(m: Sequence[Sequence]) -> list:
             for j in range(len(m[0]) if m else 0)]
 
 
+def columns_matrix(cols: Sequence) -> tuple:
+    """The square matrix, as row tuples, whose column j has the (row,
+    entry) nonzeros cols[j]: the dense view of column_nonzeros."""
+    mat = [[0] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            mat[i][j] = x
+    return tuple(map(tuple, mat))
+
+
 def apply_columns(cols: Sequence, nonzeros: Iterable, height: int) -> list:
     """m @ v, for v given by its (index, entry) nonzeros.
 
@@ -291,6 +301,11 @@ def apply_columns(cols: Sequence, nonzeros: Iterable, height: int) -> list:
         for i, y in cols[j]:
             out[i] += y * x
     return out
+
+
+def identity_matrix(n: int) -> tuple:
+    """The n x n identity as row tuples."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
@@ -377,8 +392,7 @@ class ZLattice:
 
     @classmethod
     def standard(cls, n: int) -> "ZLattice":
-        return cls.from_rows(n, [[int(i == j) for j in range(n)]
-                                 for i in range(n)])
+        return cls.from_rows(n, identity_matrix(n))
 
     @property
     def rows(self) -> tuple:

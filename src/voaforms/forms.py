@@ -34,7 +34,9 @@ from voaforms.exact import (
     apply_columns,
     as_integer,
     column_nonzeros,
+    columns_matrix,
     format_rational,
+    identity_matrix,
     int_dual_lattice,
     int_gram,
     lattice_intersect,
@@ -46,10 +48,10 @@ from voaforms.latgroup import (
     Character,
     GroupClosureError,
     SignedAction,
-    close_matrix_group,
+    close_group,
     common_eigenlattice,
     direct_sum,
-    invariant_intersection,
+    intersect_images,
     preserves,
     tel_exponent,
 )
@@ -849,12 +851,7 @@ class VOAAutomorphism:
 
     def matrix(self, degree: int) -> tuple:
         """The integer matrix of columns(degree) (column action)."""
-        cols = self.columns(degree)
-        mat = [[0] * len(cols) for _ in cols]
-        for j, col in enumerate(cols):
-            for i, c in col:
-                mat[i][j] = c
-        return tuple(map(tuple, mat))
+        return columns_matrix(self.columns(degree))
 
     def compose(self, other: "VOAAutomorphism") -> "VOAAutomorphism":
         """self after other."""
@@ -879,6 +876,11 @@ class VOAAutomorphism:
                    for d in J.degrees())
 
 
+def identity_lift(V: TruncatedVOA) -> VOAAutomorphism:
+    """The identity of V, as the lift of the identity isometry."""
+    return VOAAutomorphism(V, identity_matrix(V.lattice.rank))
+
+
 def negation_lift(V: TruncatedVOA) -> VOAAutomorphism:
     """The lift of the -1 isometry with trivial basis signs."""
     n = V.lattice.rank
@@ -889,13 +891,19 @@ def negation_lift(V: TruncatedVOA) -> VOAAutomorphism:
 def diagram_lifts(V: TruncatedVOA) -> list:
     """The lifts, with trivial basis signs, of the permutations of the
     basis other than the identity that preserve the Gram matrix (for a
-    Cartan matrix, its diagram automorphisms).
+    Cartan matrix, its diagram automorphisms), found by
+    _gram_permutations, which raises GroupClosureError past 1024."""
+    return [VOAAutomorphism(V, m) for m in _gram_permutations(V)]
+
+
+def _gram_permutations(V: TruncatedVOA) -> list:
+    """The matrices of diagram_lifts(V)'s permutations.
 
     A backtracking search maps basis vectors 0, 1, ... in turn and keeps
     a partial map only while it preserves the Gram entries among the
     vectors mapped so far, so it never lists all n! permutations.  It
     raises GroupClosureError once it finds more than 1024, the bound of
-    latgroup.close_matrix_group.
+    latgroup.close_group.
     """
     bound = 1024
     g = V.lattice.gram
@@ -915,8 +923,7 @@ def diagram_lifts(V: TruncatedVOA) -> list:
     if len(perms) > bound:
         raise GroupClosureError(
             f"more than {bound} permutations preserve the Gram matrix")
-    return [VOAAutomorphism(V, [[int(a == p[i]) for i in range(n)]
-                                for a in range(n)])
+    return [tuple(tuple(int(a == p[i]) for i in range(n)) for a in range(n))
             for p in perms[1:]]  # the search finds the identity first
 
 
@@ -925,22 +932,30 @@ def _saturation_lifts(V: TruncatedVOA, stable) -> list:
     which stable(g) holds; G is {1, theta} when it has more than 1024
     elements.
 
-    G is the group of signed permutations +-P that preserve the Gram
-    matrix, each lifted with trivial basis signs.  Those lifts compose
-    to the lift of the product: tail_sign is +1 on each +-e_i, as
-    eps(e_i, e_i) = 1.  For stable(g) = "g maps every seed into S_0" the
-    elements kept, with 1, are the stabilizer of S_0, a subgroup: g of
-    finite order with g S_0 in S_0 has g S_0 = S_0.
+    G is the group +-P of the signed permutations that preserve the
+    Gram matrix, each lifted with trivial basis signs, so its order is
+    twice that of the group P of permutations.  Those lifts compose to
+    the lift of the product: tail_sign is +1 on each +-e_i, as
+    eps(e_i, e_i) = 1.  A permutation joins the generators only when the
+    group they generate so far lacks it, so G is closed on a few of
+    them.  For stable(g) = "g maps every seed into S_0" the elements
+    kept, with 1, are the stabilizer of S_0, a subgroup: g of finite
+    order with g S_0 in S_0 has g S_0 = S_0.
     """
-    n = V.lattice.rank
-    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    one = identity_matrix(V.lattice.rank)
     minus = tuple(tuple(-x for x in row) for row in one)
+    group = {one, minus}
     try:
-        mats = close_matrix_group(
-            [minus] + [g.isometry for g in diagram_lifts(V)], n)
+        perms = _gram_permutations(V)
     except GroupClosureError:
-        mats = [minus]
-    lifts = (VOAAutomorphism(V, m) for m in mats if m != one)
+        perms = []
+    if 2 * (len(perms) + 1) <= 1024:
+        gens = [minus]
+        for m in perms:
+            if m not in group:
+                gens.append(m)
+                group = set(close_group(gens, one, mat_mul))
+    lifts = (VOAAutomorphism(V, m) for m in sorted(group) if m != one)
     return [g for g in lifts if stable(g)]
 
 
@@ -949,8 +964,7 @@ def parity_sign_map(V: TruncatedVOA, index: int) -> VOAAutomorphism:
     n = V.lattice.rank
     signs = [1] * n
     signs[index] = -1
-    return VOAAutomorphism(V, [[int(i == j) for j in range(n)]
-                               for i in range(n)], signs)
+    return VOAAutomorphism(V, identity_matrix(n), signs)
 
 
 # ---------------------------------------------------------------------------
@@ -958,15 +972,16 @@ def parity_sign_map(V: TruncatedVOA, index: int) -> VOAAutomorphism:
 # ---------------------------------------------------------------------------
 
 def _eigenform(J: TruncatedForm, auts: Sequence[VOAAutomorphism],
-               signs: Sequence[int], matrices) -> dict:
-    """{degree: sublattice of J's piece on which each matrices(degree)[i]
-    acts by signs[i]}; every automorphism must preserve J."""
+               signs: Sequence[int], columns) -> dict:
+    """{degree: sublattice of J's piece on which the matrix with column
+    nonzeros columns(degree)[i] acts by signs[i]}; every automorphism must
+    preserve J."""
     for a in auts:
         if not a.preserves_form(J):
             raise PreconditionError(
                 "an automorphism does not map the form into itself; "
                 "intersect over the group first")
-    return {d: common_eigenlattice(J.lattice(d), matrices(d), signs)
+    return {d: common_eigenlattice(J.lattice(d), columns(d), signs)
             for d in J.degrees()}
 
 
@@ -974,13 +989,14 @@ def fixed_subform(J: TruncatedForm,
                   auts: Sequence[VOAAutomorphism]) -> TruncatedForm:
     """Degreewise common fixed lattice of the listed automorphisms."""
     return TruncatedForm(J.host, _eigenform(
-        J, auts, [1] * len(auts), lambda d: [a.matrix(d) for a in auts]))
+        J, auts, [1] * len(auts), lambda d: [a.columns(d) for a in auts]))
 
 
 def graded_sign_action(V: TruncatedVOA, auts: Sequence[VOAAutomorphism],
                        degree: int) -> SignedAction:
-    """SignedAction of the automorphisms' matrices on one graded piece."""
-    return SignedAction(V.dim(degree), [a.matrix(degree) for a in auts])
+    """SignedAction of the automorphisms' columns on one graded piece."""
+    return SignedAction.from_columns(V.dim(degree),
+                                     [a.columns(degree) for a in auts])
 
 
 def character_eigenform(J: TruncatedForm, auts: Sequence[VOAAutomorphism],
@@ -990,7 +1006,7 @@ def character_eigenform(J: TruncatedForm, auts: Sequence[VOAAutomorphism],
         raise ValueError("character length != action rank")
     return _eigenform(
         J, auts, char.signs,
-        lambda d: graded_sign_action(J.host, auts, d).generators)
+        lambda d: graded_sign_action(J.host, auts, d).columns)
 
 
 def eigenform_decomposition(J: TruncatedForm,
@@ -1011,7 +1027,7 @@ def eigenform_decomposition(J: TruncatedForm,
     for d in J.degrees():
         L, act = J.lattice(d), graded_sign_action(J.host, auts, d)
         for ch in chars:
-            eigen[ch][d] = common_eigenlattice(L, act.generators, ch.signs)
+            eigen[ch][d] = common_eigenlattice(L, act.columns, ch.signs)
         exps[d] = tel_exponent(
             L, direct_sum([eigen[ch][d] for ch in chars]), act.rank)
     return eigen, exps
@@ -1032,16 +1048,23 @@ def invariant_form_intersect(J: TruncatedForm,
     """Intersection of g.J over the generated finite group, with exponents.
 
     Returns (form, {degree: exponent of J over the intersection}).  The
-    group is closed degree by degree on the induced matrices.
+    group G is closed once, on the automorphisms (VOAAutomorphism.compose),
+    and ``bound`` caps the order of G itself: that can exceed the order
+    of its image on a degree, as on degree 0, where every g acts as 1.
+    Each degree meets J's piece with its images under the g != 1 of G,
+    which act through their columns.
     """
+    try:
+        group = close_group(auts, identity_lift(J.host),
+                            VOAAutomorphism.compose, bound)[1:]
+    except GroupClosureError as e:
+        raise FormError(str(e)) from e
     lats = {}
     exps = {}
     for d in J.degrees():
-        try:
-            lats[d], exps[d] = invariant_intersection(
-                J.lattice(d), [a.matrix(d) for a in auts], bound)
-        except GroupClosureError as e:
-            raise FormError(str(e)) from e
+        lats[d], exps[d] = intersect_images(
+            J.lattice(d), [g.columns(d) for g in group],
+            [a.columns(d) for a in auts])
     return TruncatedForm(J.host, lats), exps
 
 

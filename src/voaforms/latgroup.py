@@ -5,7 +5,8 @@ generating list; characters assign a sign to each generator.  The module
 computes eigenlattices, total eigenlattices with their exponent bound,
 idempotent projections in the group algebra (as products of the commuting
 factors (1 + s_i g_i)/2), and intersections of lattice images under finite
-integer matrix groups.
+groups.  Matrices act through the nonzeros of their columns; close_group
+is the one group closure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from voaforms.exact import (
     apply_columns,
     as_integer,
     column_nonzeros,
+    columns_matrix,
+    identity_matrix,
     lattice_intersect,
     lattice_sum,
     mat_mul,
@@ -37,16 +40,12 @@ class PreservationError(ValueError):
 
 
 class GroupClosureError(ValueError):
-    """Matrix group closure exceeded the configured size bound."""
+    """Group closure exceeded the configured size bound."""
 
 
 def _mat_tuple(m: Sequence[Sequence[int]]) -> tuple:
     return tuple(tuple(as_integer(x, "matrix entry") for x in row)
                  for row in m)
-
-
-def _mat_identity(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def apply_matrix(m: Sequence[Sequence], vector: Sequence) -> list:
@@ -65,26 +64,56 @@ def preserves(lattice: ZLattice, columns: Iterable) -> bool:
         for cols in columns for nz in lattice.nonzeros)
 
 
-class SignedAction:
-    """Commuting integral involutions generating E of presented rank r."""
+def _product_columns(g: Sequence, h: Sequence, n: int) -> list:
+    """The dense columns of g @ h, both given by column nonzeros."""
+    return [apply_columns(g, col, n) for col in h]
 
-    __slots__ = ("ambient_dim", "generators", "rank")
+
+class SignedAction:
+    """Commuting integral involutions generating E of presented rank r.
+
+    Each generator is stored as the (row, entry) nonzeros of its columns
+    (``columns``); ``generators`` is their dense view.
+    """
+
+    __slots__ = ("ambient_dim", "columns", "rank")
 
     def __init__(self, ambient_dim: int, generators: Iterable) -> None:
-        gens = tuple(_mat_tuple(g) for g in generators)
-        ident = _mat_identity(ambient_dim)
+        gens = [_mat_tuple(g) for g in generators]
         for g in gens:
             if len(g) != ambient_dim or any(len(r) != ambient_dim for r in g):
                 raise ActionError("generator has wrong shape")
-            if mat_mul(g, g) != ident:
+        self._set(ambient_dim, map(column_nonzeros, gens))
+
+    @classmethod
+    def from_columns(cls, ambient_dim: int,
+                     columns: Iterable) -> "SignedAction":
+        """The action of integer matrices given by their column nonzeros."""
+        act = cls.__new__(cls)
+        act._set(ambient_dim, columns)
+        return act
+
+    def _set(self, n: int, columns: Iterable) -> None:
+        """Check the generators' column nonzeros and store them."""
+        cols = tuple(tuple(map(tuple, g)) for g in columns)
+        ident = [[int(i == j) for i in range(n)] for j in range(n)]
+        for g in cols:
+            if len(g) != n:
+                raise ActionError("generator has wrong shape")
+            if _product_columns(g, g, n) != ident:
                 raise ActionError("generator does not square to the identity")
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                if mat_mul(g, h) != mat_mul(h, g):
+        for i, g in enumerate(cols):
+            for h in cols[i + 1:]:
+                if _product_columns(g, h, n) != _product_columns(h, g, n):
                     raise ActionError("generators do not commute")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "rank", len(gens))
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "rank", len(cols))
+
+    @property
+    def generators(self) -> tuple:
+        """The generators as integer matrices (row tuples)."""
+        return tuple(map(columns_matrix, self.columns))
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("SignedAction is immutable")
@@ -118,28 +147,30 @@ class Character:
         return [Character(signs) for signs in iproduct((1, -1), repeat=rank)]
 
 
-def common_eigenlattice(lattice: ZLattice, matrices: Sequence,
+def common_eigenlattice(lattice: ZLattice, columns: Sequence,
                         signs: Sequence[int]) -> ZLattice:
-    """Sublattice of the x with g.x = s*x for each paired matrix g and sign s.
+    """Sublattice of the x with g.x = s*x for each paired matrix g, given
+    by its column nonzeros (exact.column_nonzeros), and sign s.
 
     No check is made that the matrices are involutions or preserve the
     lattice.
     """
-    if lattice.rank == 0 or not matrices:
+    if lattice.rank == 0 or not columns:
         return lattice
     n = lattice.ambient_dim
     # x = y*H/D lies in the sublattice iff y * (H*(g^T - s*I)) = 0 for all
     # pairs, so D times it is spanned by the rows of the HNF of
     # [H*(g^T - s*I) ... | H] with a pivot right of the constraint blocks.
-    blocks = [column_nonzeros([[x - s * (i == j) for j, x in enumerate(row)]
-                               for i, row in enumerate(g)])
-              for g, s in zip(matrices, signs)]
-    left = n * len(blocks)
+    pairs = list(zip(columns, signs))
+    left = n * len(pairs)
     rows = []
     for nz in lattice.nonzeros:
         w = {left + j: x for j, x in nz}
-        for b, cols in enumerate(blocks):
-            for i, x in enumerate(apply_columns(cols, nz, n)):
+        for b, (cols, s) in enumerate(pairs):
+            img = apply_columns(cols, nz, n)
+            for j, x in nz:
+                img[j] -= s * x
+            for i, x in enumerate(img):
                 if x:
                     w[b * n + i] = x
         rows.append(w)
@@ -151,9 +182,9 @@ def eigenlattice(lattice: ZLattice, action: SignedAction,
     """Sublattice on which every generator acts by the character's sign."""
     if len(char.signs) != action.rank:
         raise ValueError("character length != action rank")
-    if not preserves(lattice, map(column_nonzeros, action.generators)):
+    if not preserves(lattice, action.columns):
         raise PreservationError("action does not preserve the lattice")
-    return common_eigenlattice(lattice, action.generators, char.signs)
+    return common_eigenlattice(lattice, action.columns, char.signs)
 
 
 def direct_sum(parts: Sequence[ZLattice]) -> ZLattice:
@@ -168,9 +199,9 @@ def direct_sum(parts: Sequence[ZLattice]) -> ZLattice:
 
 def total_eigenlattice(lattice: ZLattice, action: SignedAction) -> ZLattice:
     """Internal direct sum of all 2^r eigenlattices."""
-    if not preserves(lattice, map(column_nonzeros, action.generators)):
+    if not preserves(lattice, action.columns):
         raise PreservationError("action does not preserve the lattice")
-    return direct_sum([common_eigenlattice(lattice, action.generators, ch.signs)
+    return direct_sum([common_eigenlattice(lattice, action.columns, ch.signs)
                        for ch in Character.all_characters(action.rank)])
 
 
@@ -201,9 +232,11 @@ def idempotent_project(vector: Sequence, action: SignedAction,
         raise DimensionMismatchError("vector has wrong length")
     if len(char.signs) != action.rank:
         raise ValueError("character length != action rank")
+    n = action.ambient_dim
     vec = [Fraction(x) for x in vector]
-    for g, s in zip(action.generators, char.signs):
-        vec = [(x + s * y) / 2 for x, y in zip(vec, apply_matrix(g, vec))]
+    for cols, s in zip(action.columns, char.signs):
+        img = apply_columns(cols, [(j, x) for j, x in enumerate(vec) if x], n)
+        vec = [(x + s * y) / 2 for x, y in zip(vec, img)]
     return vec
 
 
@@ -216,27 +249,44 @@ def image_lattice(matrix: Sequence[Sequence], lattice: ZLattice) -> ZLattice:
         [apply_columns(cols, nz, len(matrix)) for nz in lattice.nonzeros])
 
 
-def close_matrix_group(gens: Sequence, dim: int, bound: int = 1024) -> list:
-    """All products of the given int row-tuple matrices, identity included.
+def close_group(gens: Sequence, one, product, bound: int = 1024) -> list:
+    """The elements of the group that the hashable ``gens`` generate under
+    ``product``, ``one`` (its identity) first, in the order found: every
+    element is multiplied once by every generator.
 
     Raises GroupClosureError if more than ``bound`` distinct elements appear.
     """
-    ident = _mat_identity(dim)
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g)
-                if prod not in group:
-                    group.add(prod)
-                    nxt.append(prod)
-                    if len(group) > bound:
-                        raise GroupClosureError(
-                            f"matrix group exceeds {bound} elements")
-        frontier = nxt
-    return sorted(group)
+    elements, seen = [one], {one}
+    for m in elements:  # the list grows while it is read
+        for g in gens:
+            p = product(m, g)
+            if p not in seen:
+                seen.add(p)
+                elements.append(p)
+                if len(elements) > bound:
+                    raise GroupClosureError(
+                        f"group exceeds {bound} elements")
+    return elements
+
+
+def intersect_images(lattice: ZLattice, elements: Iterable,
+                     generators: Sequence):
+    """(L cap g.L over the integer matrices g that ``elements`` gives by
+    their column nonzeros, exponent of L over it).
+
+    ``elements`` should be the elements other than 1 of the finite group
+    that ``generators`` (column nonzeros too) generate; the intersection
+    must then be stable under each generator.
+    """
+    n, den = lattice.ambient_dim, lattice.den
+    inter = lattice
+    for cols in elements:
+        inter = lattice_intersect(inter, ZLattice._from_ints(
+            n, den, [apply_columns(cols, nz, n) for nz in lattice.nonzeros]))
+    e = quotient_exponent(lattice, inter)
+    if not preserves(inter, generators):  # pragma: no cover
+        raise ActionError("intersection is not invariant")
+    return inter, e
 
 
 def invariant_intersection(lattice: ZLattice, matrices: Iterable,
@@ -244,18 +294,13 @@ def invariant_intersection(lattice: ZLattice, matrices: Iterable,
     """Intersection of g.L over the group generated by the given matrices.
 
     Returns (intersection, exponent of L over it).  Each matrix must be
-    invertible over Q.
+    invertible over Q; ``bound`` caps the group's order.
     """
     mats = [_mat_tuple(m) for m in matrices]
     n = lattice.ambient_dim
     for m in mats:
         if ZLattice._from_ints(n, 1, m).rank < n:
             raise ActionError("matrix is singular")
-    group = close_matrix_group(mats, n, bound)
-    inter = lattice
-    for g in group:
-        inter = lattice_intersect(inter, image_lattice(g, lattice))
-    e = quotient_exponent(lattice, inter)
-    if not preserves(inter, map(column_nonzeros, mats)):  # pragma: no cover
-        raise ActionError("intersection is not invariant")
-    return inter, e
+    group = close_group(mats, identity_matrix(n), mat_mul, bound)
+    return intersect_images(lattice, map(column_nonzeros, group[1:]),
+                            [column_nonzeros(m) for m in mats])

@@ -743,7 +743,7 @@ class TestTelWork:
         import voaforms.forms as fm
         import voaforms.latgroup as lg
         counts = {"preserves": 0, "actions": 0}
-        preserves, init = lg.preserves, lg.SignedAction.__init__
+        preserves, init = lg.preserves, lg.SignedAction._set
 
         def counting_preserves(*args):
             counts["preserves"] += 1
@@ -755,7 +755,7 @@ class TestTelWork:
 
         monkeypatch.setattr(lg, "preserves", counting_preserves)
         monkeypatch.setattr(fm, "preserves", counting_preserves)
-        monkeypatch.setattr(lg.SignedAction, "__init__", counting_init)
+        monkeypatch.setattr(lg.SignedAction, "_set", counting_init)
         out = tmp_path / "out.json"
         assert main(["tel", "--manifest", built["a2n3"], "--action",
                      _action(tmp_path, self.SWAP_AND_NEGATION),

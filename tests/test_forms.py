@@ -15,9 +15,12 @@ from voaforms.exact import (
     quotient_exponent,
 )
 from voaforms.latgroup import (
+    ActionError,
     Character,
     GroupClosureError,
+    SignedAction,
     common_eigenlattice,
+    invariant_intersection,
 )
 import voaforms.forms as fm
 from voaforms.forms import (
@@ -37,6 +40,7 @@ from voaforms.voa import (
     TruncatedVOA,
 )
 
+import dense_hnf
 from oracles import member_by_solve
 
 
@@ -507,6 +511,46 @@ class TestDiagramOrbits:
         assert len(fm.diagram_lifts(V)) == 23
         # G = {+-P} has 48 elements
         assert len(fm._saturation_lifts(V, lambda g: True)) == 47
+
+    @pytest.mark.parametrize("gram, order, digest", [
+        ([[2, 1], [1, 2]], 4, "921c94da5f9d5eaa"),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 4, "e40133fcf4c69ec9"),
+        (D4, 12, "3720955038cfb5b7"),
+        ([[2 * (i == j) for j in range(4)] for i in range(4)], 48,
+         "c2dc2aaed19ef563"),
+        ([[2 * (i == j) for j in range(5)] for i in range(5)], 240,
+         "9acfe7f86c078c69"),
+    ])
+    def test_lifts_pinned(self, gram, order, digest):
+        """The lifts' keys, against a digest taken when G was closed on
+        theta and every Gram-preserving permutation."""
+        V = TruncatedVOA(EvenLattice(gram), 1)
+        keys = [g.key() for g in fm._saturation_lifts(V, lambda g: True)]
+        assert len(keys) + 1 == order
+        assert hashlib.sha256(repr(keys).encode()).hexdigest()[:16] == digest
+
+    def test_closed_on_few_generators(self, monkeypatch):
+        """On 2 I_5 (|G| = 240) the closure makes 1,436 products, not the
+        240 * 121 of closing on theta and all 119 other permutations; on
+        2 I_6 (|G| = 1,440 > 1,024) it is not run at all."""
+        products = []
+        close = fm.close_group
+
+        def counting(gens, one, product, bound=1024):
+            def counted(a, b):
+                products.append(1)
+                return product(a, b)
+            return close(gens, one, counted, bound)
+
+        monkeypatch.setattr(fm, "close_group", counting)
+        assert len(fm._saturation_lifts(self.scaled_identity(5),
+                                        lambda g: True)) == 239
+        assert len(products) == 1436
+        products.clear()
+        V = self.scaled_identity(6)
+        assert fm._saturation_lifts(V, lambda g: True) == \
+            [fm.negation_lift(V)]
+        assert not products
 
     def test_pair_phases(self):
         """On 2 I_3, where G = +-S_3 has 3-cycles (keyed here by the tails
@@ -1120,6 +1164,115 @@ class TestOrderThreeRotation:
         _, J, rho = a2_rotation
         with pytest.raises(FormError):
             fm.invariant_form_intersect(J, [rho], bound=2)
+
+
+def _adjoin_half(J, degree, element):
+    """J with element / 2 adjoined to its degree piece."""
+    V = J.host
+    _, row = V.coords(V.parse_element(element))
+    K = TruncatedForm(V, dict(J.lattices))
+    K.lattices[degree] = ZLattice.from_rows(
+        V.dim(degree),
+        J.lattice(degree).basis_rows() + [[F(x, 2) for x in row]])
+    return K
+
+
+@pytest.fixture(scope="module")
+def group_inputs():
+    """(name, form, automorphisms): lopsided and standard forms of A2 at
+    cutoff 3 and of D4 at cutoff 2 under finite groups of lifts."""
+    V = TruncatedVOA(EvenLattice([[2, 1], [1, 2]]), 3)
+    lop = fm.generate_form(V, [V.parse_element(s) for s in LOPSIDED_A2])
+    S = fm.standard_form(V)
+    swap, theta = VOAAutomorphism(V, [[0, 1], [1, 0]]), fm.negation_lift(V)
+    rho = VOAAutomorphism(V, [[-1, -1], [1, 0]])
+    par = fm.parity_sign_map(V, 0)
+    W = TruncatedVOA(EvenLattice(D4), 2)
+    T = fm.standard_form(W)
+    skew = _adjoin_half(T, 1, "1 * e(1,0,0,0)")
+    dl = fm.diagram_lifts(W)
+    return [("lopsided swap theta", lop, [swap, theta]),
+            ("standard swap theta", S, [swap, theta]),
+            ("lopsided rotation", lop, [rho]),
+            ("lopsided rotation theta", lop, [rho, theta]),
+            ("lopsided parity", lop, [par]),
+            ("lopsided parity swap", lop, [par, swap]),
+            ("D4 skew S2", skew, [dl[0]]),
+            ("D4 skew S3", skew, [dl[1], dl[2]]),
+            ("D4 standard", T, [dl[0], dl[3]])]
+
+
+class TestActionsThroughColumns:
+    """Finite groups of lifts act through their columns: the results equal
+    those of the dense matrices, and no dense matrix is built."""
+
+    def test_intersection_matches_dense_matrices(self, group_inputs):
+        moved = set()
+        for name, J, auts in group_inputs:
+            K, exps = fm.invariant_form_intersect(J, auts)
+            for d in J.degrees():
+                want = invariant_intersection(
+                    J.lattice(d), [a.matrix(d) for a in auts])
+                assert (K.lattice(d), exps[d]) == want, (name, d)
+            moved.add(any(e > 1 for e in exps.values()))
+        assert moved == {True, False}
+
+    def test_no_dense_matrix(self, group_inputs, monkeypatch):
+        def dense(*args):
+            raise AssertionError("matrix(d) built")
+        _, J, auts = group_inputs[1]
+        monkeypatch.setattr(VOAAutomorphism, "matrix", dense)
+        fm.invariant_form_intersect(J, auts)
+        fm.tel_exponents(J, auts)
+        fm.fixed_subform(J, auts)
+        fm.character_eigenform(J, auts, Character((1, -1)))
+
+    def test_decomposition_matches_dense_kernel(self, a1n6):
+        """Eigenlattices against the kernel of the dense g - s*I, and
+        exponents against the sum of those kernels."""
+        V, J = a1n6["voa"], a1n6["form"]
+        theta, tau = fm.negation_lift(V), fm.parity_sign_map(V, 0)
+        for auts in ([theta], [theta, tau]):
+            eigen, exps = fm.eigenform_decomposition(J, auts)
+            for d in J.degrees():
+                L, n = J.lattice(d), V.dim(d)
+                total = ZLattice.zero(n)
+                for ch in Character.all_characters(len(auts)):
+                    stacked = [[] for _ in L.rows]
+                    for a, s in zip(auts, ch.signs):
+                        m = a.matrix(d)
+                        for row, out in zip(L.rows, stacked):
+                            out.extend(sum(m[i][j] * row[j] for j in range(n))
+                                       - s * row[i] for i in range(n))
+                    ker = dense_hnf.kernel_int(stacked, len(stacked[0]))
+                    want = ZLattice.from_rows(n, [
+                        [F(sum(k[t] * L.rows[t][j] for t in range(len(k))),
+                           L.den) for j in range(n)] for k in ker])
+                    assert eigen[ch][d] == want, (len(auts), ch, d)
+                    total = lattice_sum(total, want)
+                assert exps[d] == quotient_exponent(L, total)
+
+    def test_lift_of_an_involution_that_is_not_one(self, a2n3_standard):
+        """Swap with basis signs (1, -1) squares to the identity isometry,
+        but its lift does not square to 1."""
+        V, S = a2n3_standard
+        a = VOAAutomorphism(V, [[0, 1], [1, 0]], [1, -1])
+        assert a.preserves_form(S)
+        assert a.compose(a) != fm.identity_lift(V)
+        with pytest.raises(ActionError, match="square"):
+            fm.eigenform_decomposition(S, [a])
+
+    def test_non_commuting_dense_generators(self, a2n3_standard):
+        V, _ = a2n3_standard
+        swap = VOAAutomorphism(V, [[0, 1], [1, 0]])
+        refl = VOAAutomorphism(V, [[-1, -1], [0, 1]])
+        one = fm.identity_lift(V)
+        assert swap.compose(swap) == one and refl.compose(refl) == one
+        for d in (1, 2):
+            with pytest.raises(ActionError, match="commute"):
+                SignedAction(V.dim(d), [swap.matrix(d), refl.matrix(d)])
+            with pytest.raises(ActionError, match="commute"):
+                fm.graded_sign_action(V, [swap, refl], d)
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from voaforms.latgroup import (
     PreservationError,
     SignedAction,
     apply_matrix,
+    close_group,
     common_eigenlattice,
     eigenlattice,
     idempotent_project,
@@ -264,6 +265,45 @@ class TestInvariantIntersection:
         assert img == ZLattice.from_rows(2, [[0, 1], [2, 0]])
 
 
+class TestCloseGroup:
+    ROTATION = ((-1, -1), (1, 0))  # order 3
+
+    def test_elements_and_products(self):
+        """Each element is multiplied once by each generator, and the
+        identity comes first."""
+        products = []
+
+        def product(a, b):
+            products.append((a, b))
+            return mat_mul(a, b)
+
+        one = ((1, 0), (0, 1))
+        minus = ((-1, 0), (0, -1))
+        group = close_group([self.ROTATION, minus], one, product)
+        assert group[0] == one and len(group) == len(set(group)) == 6
+        assert len(products) == 12
+        assert {mat_mul(a, b) for a in group for b in group} == set(group)
+
+    def test_bound(self):
+        with pytest.raises(GroupClosureError):
+            close_group([self.ROTATION], ((1, 0), (0, 1)), mat_mul, bound=2)
+        assert len(close_group([self.ROTATION], ((1, 0), (0, 1)), mat_mul,
+                               bound=3)) == 3
+
+    def test_signed_action_from_columns(self):
+        gens = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]]
+        act = SignedAction.from_columns(3, map(column_nonzeros, gens))
+        assert act.generators == SignedAction(3, gens).generators == \
+            tuple(tuple(map(tuple, g)) for g in gens)
+        with pytest.raises(ActionError, match="commute"):
+            SignedAction.from_columns(3, map(column_nonzeros, [
+                gens[0], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]))
+        with pytest.raises(ActionError, match="square"):
+            SignedAction.from_columns(3, [column_nonzeros(
+                [[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
+
+
 def _dense_apply(m, vector):
     """m @ vector, one sum over every column per row (reference)."""
     return [sum(row[j] * x for j, x in enumerate(vector)) for row in m]
@@ -351,7 +391,8 @@ class TestColumnNonzerosAgainstDense:
             ker = dense_hnf.kernel_int(stacked, len(stacked[0]))
             want = ZLattice.from_rows(n, [[Fraction(x, lat.den) for x in r]
                                           for r in mat_mul(ker, lat.rows)])
-            got = common_eigenlattice(lat, mats, signs)
+            got = common_eigenlattice(
+                lat, [column_nonzeros(g) for g in mats], signs)
             assert got == want
             ranks.add((got.rank > 0, got.rank < lat.rank))
         assert len(ranks) == 3, ranks
