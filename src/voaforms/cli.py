@@ -4,8 +4,8 @@ Subcommands wire lattice files, generator literals, cutoffs, and action
 files into the library's construction and verification machinery.  Exit
 codes: 0 success / all checks pass, 1 malformed input or a usage error,
 2 saturation non-convergence (any subcommand; the per-pass growth trace
-goes to stderr), 3 verification failure.  Reports are deterministic for a
-fixed seed.
+goes to stderr), 3 verification failure or a failed precondition of the
+command's operation.  Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -98,21 +98,27 @@ def _load_generators(path: str, V: TruncatedVOA) -> list:
     return gens
 
 
-def _emit(payload: dict, fmt: str, output: str | None,
-          text_renderer=None) -> None:
-    if fmt == "json":
+def _emit(args, payload: dict, renderer, cutoff: int | None = None,
+          passed: bool = True) -> int:
+    """Write a report in --format to --output (stdout without one) and
+    return its exit code.  The report gets the seed and, given the cutoff,
+    the scope of what it certifies."""
+    payload["seed"] = args.seed
+    if cutoff is not None:
+        payload["scope"] = f"degrees<={cutoff}"
+    if args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        body = text_renderer(payload) if text_renderer else \
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if output:
+        body = renderer(payload)
+    if args.output:
         try:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(body)
         except OSError as e:
-            raise InputError(f"output: cannot write {output}: {e}")
+            raise InputError(f"output: cannot write {args.output}: {e}")
     else:
         sys.stdout.write(body)
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def _numeric_items(m: dict) -> list:
@@ -151,10 +157,7 @@ def cmd_build(args) -> int:
         raise InputError(f"generators: {e}")
     except fm.PreconditionError as e:  # a generator above --gen-degree
         raise InputError(f"gen-degree: {e}")
-    manifest = fm.build_manifest(J)
-    manifest["seed"] = args.seed
-    _emit(manifest, args.format, args.output, _render_manifest_text)
-    return EXIT_OK
+    return _emit(args, fm.build_manifest(J), _render_manifest_text)
 
 
 def _render_manifest_text(m: dict) -> str:
@@ -182,7 +185,7 @@ def _encode(value) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _suite_manifest_consistency(V, J, manifest):
+def _suite_manifest_consistency(V, J, manifest, seed):
     recorded = manifest.get("degrees", {})
     if not isinstance(recorded, dict):
         raise InputError("manifest: degrees: not an object")
@@ -222,7 +225,7 @@ def _suite_manifest_consistency(V, J, manifest):
     return True, None
 
 
-def _suite_integrality(V, J, manifest):
+def _suite_integrality(V, J, manifest, seed):
     cert = fm.check_lattice_integral(J)
     if cert.passed:
         return True, None
@@ -231,7 +234,7 @@ def _suite_integrality(V, J, manifest):
                    f"{format_rational(val)} is not an integer")
 
 
-def _suite_vacuum_products(V, J, manifest):
+def _suite_vacuum_products(V, J, manifest, seed):
     vac = V.vacuum()
     for d in range(V.cutoff + 1):
         for mono in V.graded_basis(d):
@@ -256,46 +259,33 @@ def _suite_vacuum_products(V, J, manifest):
     return True, None
 
 
-def _suite_vacuum_line(V, J, manifest):
-    try:
-        n = fm.vacuum_intersection(J)
-    except fm.FormError as e:
-        return False, str(e)
-    return True, f"n = {n}"
+def _suite_vacuum_line(V, J, manifest, seed):
+    return True, f"n = {fm.vacuum_intersection(J)}"
 
 
-def _suite_dual_stability(V, J, manifest):
+def _suite_dual_stability(V, J, manifest, seed):
     for n in range(1, min(4, V.cutoff) + 1):
-        try:
-            ok, witness = fm.dual_stability_check(J, n, return_witness=True)
-        except fm.FormError as e:
-            return False, str(e)
+        ok, witness = fm.dual_stability_check(J, n, return_witness=True)
         if not ok:
             return False, f"order {n}: witness degree {witness[0]}"
     return True, None
 
 
-def _suite_rescale(V, J, manifest):
+def _suite_rescale(V, J, manifest, seed):
     t = J.gen_degree if J.gen_degree is not None else 1
     if t < 1:
         return True, "trivial (t = 0)"
-    try:
-        m1, m2, _ = fm.rescale_to_integral(J, t)
-    except fm.FormError as e:
-        return False, str(e)
+    m1, m2, _ = fm.rescale_to_integral(J, t)
     return True, f"m1 = {m1}, m2 = {m2}"
 
 
-def _suite_scaled_vacuum(V, J, manifest):
+def _suite_scaled_vacuum(V, J, manifest, seed):
     m = fm.minimal_integral_scale(J)
-    try:
-        fm.scaled_with_vacuum(J, m, seed=0)
-    except fm.FormError as e:
-        return False, str(e)
+    fm.scaled_with_vacuum(J, m, seed=0)
     return True, f"m = {m}"
 
 
-def _suite_quasi_primary(V, J, manifest):
+def _suite_quasi_primary(V, J, manifest, seed):
     gens = [g for g in J.generators if not g.is_zero()]
     bad = [i for i, g in enumerate(gens) if not V.is_quasi_primary(g)]
     if bad:
@@ -303,14 +293,14 @@ def _suite_quasi_primary(V, J, manifest):
     return True, None
 
 
-def _suite_closure(V, J, manifest, seed=0):
+def _suite_closure(V, J, manifest, seed):
     ok, witness = fm.closure_sample(J, samples=200, seed=seed)
     if not ok:
         return False, f"witness (da, ia, db, ib, k) = {witness}"
     return True, None
 
 
-def _suite_invariance(V, J, manifest, seed=0):
+def _suite_invariance(V, J, manifest, seed):
     rng = random.Random(seed)
     degs = [d for d in J.degrees() if J.rank(d) > 0]
     if not degs:
@@ -349,21 +339,17 @@ def cmd_verify(args) -> int:
         raise InputError("manifest: required unless --suite dihedral2a")
     manifest, V, J = _load_form(args.manifest, args.iter_bound)
     results = []
-    all_ok = True
     for name, suite in VERIFY_SUITES:
         if args.suite not in ("all", name):
             continue
-        if name in ("closure-sampling", "invariance-identity"):
-            ok, detail = suite(V, J, manifest, seed=args.seed)
-        else:
-            ok, detail = suite(V, J, manifest)
-        results.append({"suite": name, "passed": ok,
-                        "detail": detail})
-        all_ok = all_ok and ok
-    payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
-               "results": results, "passed": all_ok}
-    _emit(payload, args.format, args.output, _render_verify_text)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+        try:
+            ok, detail = suite(V, J, manifest, args.seed)
+        except fm.FormError as e:  # a failed precondition fails the suite
+            ok, detail = False, str(e)
+        results.append({"suite": name, "passed": ok, "detail": detail})
+    passed = all(r["passed"] for r in results)
+    return _emit(args, {"results": results, "passed": passed},
+                 _render_verify_text, V.cutoff, passed)
 
 
 def _render_verify_text(p: dict) -> str:
@@ -387,19 +373,10 @@ def cmd_rescale(args) -> int:
         t = J.gen_degree if J.gen_degree is not None else 1
     elif not 0 <= t <= V.cutoff:
         raise InputError(f"gen-degree: need 0 <= t <= cutoff = {V.cutoff}")
-    try:
-        m1, m2, Jm = fm.rescale_to_integral(J, t, iter_bound=args.iter_bound)
-    except fm.SaturationError:
-        raise  # reported by main
-    except fm.FormError as e:
-        sys.stderr.write(f"rescale failed: {e}\n")
-        return EXIT_VERIFY_FAIL
+    m1, m2, Jm = fm.rescale_to_integral(J, t, iter_bound=args.iter_bound)
     cert = fm.check_lattice_integral(Jm)
-    payload = {"scope": cert.scope, "seed": args.seed,
-               "m1": m1, "m2": m2, "m": m1 * m2,
-               "certificate": cert.to_json()}
-    _emit(payload, args.format, args.output, _render_rescale_text)
-    return EXIT_OK if cert.passed else EXIT_VERIFY_FAIL
+    payload = {"m1": m1, "m2": m2, "m": m1 * m2, "certificate": cert.to_json()}
+    return _emit(args, payload, _render_rescale_text, V.cutoff, cert.passed)
 
 
 def _render_rescale_text(p: dict) -> str:
@@ -415,23 +392,16 @@ def _render_rescale_text(p: dict) -> str:
 
 def cmd_dual(args) -> int:
     _, V, J = _load_form(args.manifest, args.iter_bound)
-    try:
-        duals = fm.dual_form(J)
-        stability = {str(n): fm.dual_stability_check(J, n)
-                     for n in range(1, args.stability_order + 1)}
-    except fm.FormError as e:
-        sys.stderr.write(f"dual failed: {e}\n")
-        return EXIT_VERIFY_FAIL
+    duals = fm.dual_form(J)
+    stability = {str(n): fm.dual_stability_check(J, n)
+                 for n in range(1, args.stability_order + 1)}
     table = {str(d): {"rank": duals.lattice(d).rank,
                       "denominator": duals.lattice(d).den,
                       "span_relative": d in duals.low_rank_degrees}
              for d in duals.degrees()}
-    payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
-               "degrees": table,
-               "stability": stability,
-               "passed": all(stability.values())}
-    _emit(payload, args.format, args.output, _render_dual_text)
-    return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAIL
+    passed = all(stability.values())
+    payload = {"degrees": table, "stability": stability, "passed": passed}
+    return _emit(args, payload, _render_dual_text, V.cutoff, passed)
 
 
 def _render_dual_text(p: dict) -> str:
@@ -508,13 +478,10 @@ def cmd_tel(args) -> int:
              {str(d): fam[d].rank for d in sorted(fam)}
              for ch, fam in fams.items()}
     ok = all((1 << r) % e == 0 for e in exps.values())
-    payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
-               "rank": r,
-               "eigenform_ranks": eigen,
+    payload = {"rank": r, "eigenform_ranks": eigen,
                "tel_exponents": {str(d): e for d, e in sorted(exps.items())},
                "passed": ok}
-    _emit(payload, args.format, args.output, _render_tel_text)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return _emit(args, payload, _render_tel_text, V.cutoff, ok)
 
 
 def _render_tel_text(p: dict) -> str:
@@ -534,21 +501,17 @@ def cmd_nli_transfer(args) -> int:
                 man_a["cutoff"] != man_b["cutoff"]:
             raise InputError("other: host lattice or cutoff differs")
         _, K = fm.form_from_manifest(man_b, args.iter_bound, host=V)
-    try:
-        mjk, mkj, per = fm.mutual_scale_report(J, K)
-    except fm.RankMismatchError as e:
-        sys.stderr.write(f"{e}\n")
-        return EXIT_VERIFY_FAIL
-    payload = {"scope": f"degrees<={V.cutoff}", "seed": args.seed,
-               "m_first_into_second": mjk, "m_second_into_first": mkj,
+    mjk, mkj, per = fm.mutual_scale_report(J, K)
+    payload = {"m_first_into_second": mjk, "m_second_into_first": mkj,
                "per_degree": {str(d): list(v) for d, v in sorted(per.items())}}
-    _emit(payload, args.format, args.output,
-          lambda p: (f"mutual scales ({p['scope']}): "
-                     f"{p['m_first_into_second']} / "
-                     f"{p['m_second_into_first']}\n" +
-                     "".join(f"  degree {d}: {tuple(v)}\n"
-                             for d, v in _numeric_items(p["per_degree"]))))
-    return EXIT_OK
+    return _emit(args, payload, _render_nli_text, V.cutoff)
+
+
+def _render_nli_text(p: dict) -> str:
+    return (f"mutual scales ({p['scope']}): {p['m_first_into_second']} / "
+            f"{p['m_second_into_first']}\n" +
+            "".join(f"  degree {d}: {tuple(v)}\n"
+                    for d, v in _numeric_items(p["per_degree"])))
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +546,7 @@ def _render_dihedral_text(r: dict) -> str:
 
 
 def cmd_dihedral2a(args) -> int:
-    report = dihedral_2a_report()
-    report["seed"] = args.seed
-    _emit(report, args.format, args.output, _render_dihedral_text)
-    return EXIT_OK
+    return _emit(args, dihedral_2a_report(), _render_dihedral_text)
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +643,9 @@ def main(argv=None) -> int:
         for i, p in enumerate(e.trace, 1):
             sys.stderr.write(f"  pass {i}: {p}\n")
         return EXIT_NO_CONVERGENCE
+    except fm.FormError as e:  # SaturationError, a subclass, is caught above
+        sys.stderr.write(f"{args.command} failed: {e}\n")
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":  # pragma: no cover

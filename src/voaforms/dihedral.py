@@ -132,23 +132,16 @@ def is_associative_form(algebra: FiniteAlgebra, gram: QMatrix):
     The witness is (i, j, k, lhs, rhs) for the first failing basis triple in
     lexicographic order.
     """
-    if not gram.is_symmetric():
-        raise ValueError("gram matrix is not symmetric")
-    if gram.rows != algebra.dim:
-        raise ValueError("gram matrix has wrong size")
-    n = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(n)]
-
-    def val(x, y):
-        return sum((Fraction(x[a]) * gram.entry(a, b) * Fraction(y[b])
-                    for a in range(n) for b in range(n)), Fraction(0))
-
+    alg = FiniteAlgebra(algebra.labels, algebra.constants, gram)
+    n = alg.dim
+    basis = [alg.basis_vector(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            xy = algebra.multiply(basis[i], basis[j])
+            xy = alg.multiply(basis[i], basis[j])
             for k in range(n):
-                lhs = val(xy, basis[k])
-                rhs = val(basis[i], algebra.multiply(basis[j], basis[k]))
+                lhs = alg.form_value(xy, basis[k])
+                rhs = alg.form_value(basis[i],
+                                     alg.multiply(basis[j], basis[k]))
                 if lhs != rhs:
                     return False, (i, j, k, lhs, rhs)
     return True, None

@@ -1052,7 +1052,7 @@ def invariant_form_intersect(J: TruncatedForm,
     and ``bound`` caps the order of G itself: that can exceed the order
     of its image on a degree, as on degree 0, where every g acts as 1.
     Each degree meets J's piece with its images under the g != 1 of G,
-    which act through their columns.
+    which act through their columns, once per distinct action.
     """
     try:
         group = close_group(auts, identity_lift(J.host),

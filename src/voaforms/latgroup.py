@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
 from typing import Iterable, Sequence
 
 from voaforms.exact import (
@@ -46,12 +45,6 @@ class GroupClosureError(ValueError):
 def _mat_tuple(m: Sequence[Sequence[int]]) -> tuple:
     return tuple(tuple(as_integer(x, "matrix entry") for x in row)
                  for row in m)
-
-
-def apply_matrix(m: Sequence[Sequence], vector: Sequence) -> list:
-    """Image of a (row) vector under the matrix acting on coordinates."""
-    return apply_columns(column_nonzeros(m),
-                         [(j, x) for j, x in enumerate(vector) if x], len(m))
 
 
 def preserves(lattice: ZLattice, columns: Iterable) -> bool:
@@ -240,13 +233,13 @@ def idempotent_project(vector: Sequence, action: SignedAction,
     return vec
 
 
-def image_lattice(matrix: Sequence[Sequence], lattice: ZLattice) -> ZLattice:
-    """The lattice g.L for an invertible rational matrix g."""
-    mden = lcm(1, *(x.denominator for row in matrix for x in row))
-    cols = column_nonzeros([[int(x * mden) for x in row] for row in matrix])
+def image_lattice(columns: Sequence, lattice: ZLattice) -> ZLattice:
+    """The lattice g.L for the integer matrix g given by its column
+    nonzeros (exact.column_nonzeros)."""
+    n = lattice.ambient_dim
     return ZLattice._from_ints(
-        lattice.ambient_dim, lattice.den * mden,
-        [apply_columns(cols, nz, len(matrix)) for nz in lattice.nonzeros])
+        n, lattice.den,
+        [apply_columns(columns, nz, n) for nz in lattice.nonzeros])
 
 
 def close_group(gens: Sequence, one, product, bound: int = 1024) -> list:
@@ -274,15 +267,17 @@ def intersect_images(lattice: ZLattice, elements: Iterable,
     """(L cap g.L over the integer matrices g that ``elements`` gives by
     their column nonzeros, exponent of L over it).
 
-    ``elements`` should be the elements other than 1 of the finite group
-    that ``generators`` (column nonzeros too) generate; the intersection
-    must then be stable under each generator.
+    ``elements`` should be the elements of the finite group that
+    ``generators`` (column nonzeros too) generate; the intersection must
+    then be stable under each generator.  L meets its image under each
+    distinct matrix other than 1 once.
     """
-    n, den = lattice.ambient_dim, lattice.den
+    one = tuple(((j, 1),) for j in range(lattice.ambient_dim))
+    images = {tuple(map(tuple, cols)): cols for cols in elements}
+    images.pop(one, None)
     inter = lattice
-    for cols in elements:
-        inter = lattice_intersect(inter, ZLattice._from_ints(
-            n, den, [apply_columns(cols, nz, n) for nz in lattice.nonzeros]))
+    for cols in images.values():
+        inter = lattice_intersect(inter, image_lattice(cols, lattice))
     e = quotient_exponent(lattice, inter)
     if not preserves(inter, generators):  # pragma: no cover
         raise ActionError("intersection is not invariant")

@@ -324,7 +324,6 @@ class TruncatedVOA:
         self._iterate_lifts = {}
         self._formmat = {}
         self._omega = None
-        self._l1_chain = {}
         # dim V_0 = 1 falls out of evenness + positive definiteness: the only
         # vector of norm 0 is 0 and there is no mode of degree 0.
         if len(self.graded_basis(0)) != 1:  # pragma: no cover - structural
@@ -693,14 +692,9 @@ class TruncatedVOA:
 
     def _raising_chain(self, v: GradedVector) -> list:
         """[v, L(1)v, L(1)^2 v, ...] up to the first zero (v homogeneous)."""
-        key = frozenset(v.terms.items())
-        hit = self._l1_chain.get(key)
-        if hit is not None:
-            return hit
         chain = [v]
         while not chain[-1].is_zero():
             chain.append(self.L_apply(1, chain[-1]))
-        self._l1_chain[key] = chain
         return chain
 
     def invariance_identity_check(self, a: GradedVector, u: GradedVector,

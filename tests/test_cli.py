@@ -111,6 +111,26 @@ class TestVerify:
         assert len(payload["results"]) == 1
         assert payload["results"][0]["suite"] == "vacuum-line"
 
+    def test_suite_precondition_fails_that_suite(self, tmp_path, a1_files,
+                                                  capsys, monkeypatch):
+        import voaforms.cli as cli
+        import voaforms.forms as fm
+
+        def broken(V, J, manifest, seed):
+            raise fm.PreconditionError("form has no vacuum line")
+
+        suites = [(name, broken if name == "vacuum-line" else suite)
+                  for name, suite in cli.VERIFY_SUITES]
+        monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+        man = build_manifest(tmp_path, a1_files)
+        assert main(["verify", "--manifest", str(man),
+                     "--format", "json"]) == 3
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [r["suite"] for r in results] == [n for n, _ in suites]
+        assert [r for r in results if not r["passed"]] == [
+            {"suite": "vacuum-line", "passed": False,
+             "detail": "form has no vacuum line"}]
+
     def test_dihedral_suite_needs_no_manifest(self, capsys):
         code = main(["verify", "--suite", "dihedral2a", "--format", "json"])
         assert code == 0
@@ -705,6 +725,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"{command} failed: invariant form degenerate on the degree-1 "
             f"piece\n")
+
+    def test_rank_mismatch_exits_3(self, tmp_path, built, capsys):
+        assert main(["nli-transfer", "--manifest", _manifest(tmp_path),
+                     "--other", built["isotropic"]]) == 3
+        assert capsys.readouterr().err == \
+            "nli-transfer failed: degree 1: ranks 3 vs 1\n"
 
     def test_isotropic_piece_fails_verify(self, built, capsys):
         assert main(["verify", "--manifest", built["isotropic"],

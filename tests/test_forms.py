@@ -10,7 +10,9 @@ import pytest
 from voaforms.exact import (
     SparseHNF,
     ZLattice,
+    apply_columns,
     column_nonzeros,
+    lattice_intersect,
     lattice_sum,
     quotient_exponent,
 )
@@ -19,7 +21,9 @@ from voaforms.latgroup import (
     Character,
     GroupClosureError,
     SignedAction,
+    close_group,
     common_eigenlattice,
+    image_lattice,
     invariant_intersection,
 )
 import voaforms.forms as fm
@@ -1145,7 +1149,6 @@ class TestOrderThreeRotation:
     # not an involution, so the fixed lattice must not go through the
     # involution checks of a SignedAction
     def test_fixed_subform_ranks_are_average_traces(self, a2_rotation):
-        from voaforms.latgroup import apply_matrix
         V, J, rho = a2_rotation
         fixed = fm.fixed_subform(J, [rho])
         assert [fixed.rank(d) for d in range(3)] == [1, 2, 5]
@@ -1158,7 +1161,8 @@ class TestOrderThreeRotation:
                 sum(m2[i][i] for i in range(n))
             assert 3 * fixed.rank(d) == traces
             for row in fixed.lattice(d).basis_rows():
-                assert apply_matrix(m, row) == row
+                assert apply_columns(column_nonzeros(m), enumerate(row),
+                                     n) == row
 
     def test_intersection_group_bound(self, a2_rotation):
         _, J, rho = a2_rotation
@@ -1216,6 +1220,29 @@ class TestActionsThroughColumns:
                 assert (K.lattice(d), exps[d]) == want, (name, d)
             moved.add(any(e > 1 for e in exps.values()))
         assert moved == {True, False}
+
+    def test_each_distinct_image_once(self, group_inputs, monkeypatch):
+        """The lopsided form under {swap, theta} (the invariant-a2n3 input):
+        the three g != 1 act as 1 on degree 0, so 9 of the 12 intersections
+        remain, and the results equal those of meeting every image."""
+        import voaforms.latgroup as lg
+        _, J, auts = group_inputs[0]
+        group = close_group(auts, fm.identity_lift(J.host),
+                            VOAAutomorphism.compose)[1:]
+        want = {}
+        for d in J.degrees():
+            L = inter = J.lattice(d)
+            for g in group:
+                inter = lattice_intersect(inter,
+                                          image_lattice(g.columns(d), L))
+            want[d] = (inter, quotient_exponent(L, inter))
+        calls = []
+        meet = lg.lattice_intersect
+        monkeypatch.setattr(lg, "lattice_intersect",
+                            lambda a, b: calls.append(1) or meet(a, b))
+        K, exps = fm.invariant_form_intersect(J, auts)
+        assert (len(group) * len(J.degrees()), len(calls)) == (12, 9)
+        assert {d: (K.lattice(d), exps[d]) for d in J.degrees()} == want
 
     def test_no_dense_matrix(self, group_inputs, monkeypatch):
         def dense(*args):
@@ -1282,7 +1309,7 @@ def a2n3_standard():
 
 
 class TestIntegerKernelsMatchFractions:
-    """Gram matrices and images against entrywise Fraction references."""
+    """Gram matrices against entrywise Fraction references."""
 
     def test_form_gram_every_degree(self, a2n3_standard):
         V, S = a2n3_standard
@@ -1301,23 +1328,6 @@ class TestIntegerKernelsMatchFractions:
                 got = fm.form_gram(J, d)
                 assert got == want
                 assert all(type(x) is F for row in got for x in row)
-
-    def test_image_of_rational_matrix(self, a2n3_standard):
-        from voaforms.latgroup import image_lattice
-        V, S = a2n3_standard
-        lat = S.lattice(2).scale(F(3, 4))
-        assert lat.den > 1
-        swap = VOAAutomorphism(V, [[0, 1], [1, 0]]).matrix(2)
-        # (1/3) swap + 1/2 is invertible: swap has eigenvalues +-1 only
-        mat = [[F(x, 3) + F(int(i == j), 2) for j, x in enumerate(row)]
-               for i, row in enumerate(swap)]
-        n = len(mat)
-        want = [[sum((mat[i][j] * r[j] for j in range(n)), F(0))
-                 for i in range(n)] for r in lat.basis_rows()]
-        got = image_lattice(mat, lat)
-        assert got.rank == lat.rank
-        assert all(member_by_solve(r, want) for r in got.basis_rows())
-        assert all(member_by_solve(r, got.basis_rows()) for r in want)
 
 
 class TestMutualScale:
